@@ -30,11 +30,47 @@ let print_stats st =
 
 let obs_of ~report ~trace = if report <> None || trace <> None then Obs.create () else Obs.disabled
 
+(* Reports, traces, proofs, flight dumps and metrics files are written
+   through [write_file].  A write that fails raises [Cannot_write], which
+   [guard_writes] turns into a one-line error and exit status 2 instead
+   of an escaping exception. *)
+exception Cannot_write of string
+
+let write_file path f =
+  match open_out path with
+  | exception Sys_error e -> raise (Cannot_write e)
+  | oc -> (
+      try
+        f oc;
+        close_out oc
+      with Sys_error e ->
+        close_out_noerr oc;
+        raise (Cannot_write (path ^ ": " ^ e)))
+
 let write_doc path doc =
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc
+  write_file path (fun oc ->
+      output_string oc (Obs.Json.to_string doc);
+      output_char oc '\n')
+
+let guard_writes f =
+  try f ()
+  with Cannot_write e ->
+    Printf.eprintf "gridsat: cannot write %s\n" e;
+    2
+
+(* Output paths are checked before a run starts, so a long run cannot
+   get to its final write only to fail there. *)
+let check_file path =
+  let dir = Filename.dirname path in
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    raise (Cannot_write (path ^ ": No such directory " ^ dir))
+  else if Sys.file_exists path && Sys.is_directory path then
+    raise (Cannot_write (path ^ ": Is a directory"))
+
+(* An output directory is created if missing; its parent must exist. *)
+let ensure_dir d =
+  if not (Sys.file_exists d) then (try Sys.mkdir d 0o755 with Sys_error e -> raise (Cannot_write e))
+  else if not (Sys.is_directory d) then raise (Cannot_write (d ^ ": Not a directory"))
 
 let emit_telemetry ~report ~trace ~obs build_report =
   (match report with
@@ -79,9 +115,7 @@ let solve_sequential ~preprocess ~proof_out ~stats ~budget ~report ~trace cnf =
           (match Sat.Drup.check cnf proof with
           | Ok () -> Format.printf "c proof checked (%d steps)@." (List.length proof)
           | Error e -> Format.printf "c WARNING: proof does not check: %s@." e);
-          let oc = open_out path in
-          output_string oc (Sat.Drup.to_string proof);
-          close_out oc;
+          write_file path (fun oc -> output_string oc (Sat.Drup.to_string proof));
           Format.printf "c proof written to %s@." path)
   | Sat.Solver.Budget_exhausted -> Format.printf "s UNKNOWN@.c budget exhausted@."
   | Sat.Solver.Mem_pressure -> Format.printf "s UNKNOWN@.c memory limit reached@.");
@@ -151,15 +185,55 @@ let print_health_table hm =
         v.Gridsat_core.Health.v_corruptions v.Gridsat_core.Health.v_retries)
     (Gridsat_core.Health.views hm)
 
+module Cfg = Gridsat_core.Config
+
+let ship_modes = [ ("async", false); ("sync", true) ]
+
+(* The run configuration [solve -m grid] and [serve] build from the flags
+   they share.  --chaos also turns on the recovery machinery the fault
+   plans target: light checkpoints, a tight heartbeat lease, eager
+   splitting.  --hedge arms the full straggler defense: hedged
+   re-execution plus percentile-driven (adaptive) lease and retry
+   deadlines.  --standby arms hot-standby master replication; under
+   --chaos the lease and ship interval tighten so the canned early crash
+   promotes within the run's horizon (the lease must exceed
+   heartbeat_period). *)
+let run_config ~seed ~chaos ~hedge ~standby ~ship_sync ~share_budget ~journal_quota ~outbox_cap =
+  let config =
+    { Cfg.default with Cfg.split_timeout = 5.; share_budget; journal_quota; outbox_cap; seed }
+  in
+  let config =
+    if chaos then
+      {
+        config with
+        Cfg.checkpoint = Cfg.Light;
+        checkpoint_period = 2.;
+        heartbeat_period = 2.;
+        suspect_timeout = 8.;
+        split_timeout = 1.;
+        slice = 0.5;
+      }
+    else config
+  in
+  let config =
+    if hedge then { config with Cfg.hedge = true; adaptive_timeouts = true } else config
+  in
+  if standby then
+    {
+      config with
+      Cfg.standby = true;
+      ship_sync;
+      standby_lease = (if chaos then 6. else config.Cfg.standby_lease);
+      ship_interval = (if chaos then 1. else config.Cfg.ship_interval);
+    }
+  else config
+
 let solve_grid ~testbed ~hosts ~stats ~share_len ~timeout ~seed ~chaos ~chaos_partition ~certify
-    ~corrupt_p ~hedge ~standby ~ship ~stragglers ~flaky ~share_budget ~journal_quota ~outbox_cap
-    ~choke ~health_report ~report ~trace cnf =
+    ~corrupt_p ~hedge ~standby ~ship_sync ~stragglers ~flaky ~share_budget ~journal_quota
+    ~outbox_cap ~choke ~health_report ~report ~trace cnf =
   match testbed_of_string ~hosts testbed with
   | Error e ->
       prerr_endline e;
-      2
-  | Ok _ when ship <> "async" && ship <> "sync" ->
-      Printf.eprintf "gridsat: bad --ship %S (async|sync)\n" ship;
       2
   | Ok _ when chaos_partition && not (chaos && standby) ->
       Printf.eprintf "gridsat: --chaos-partition requires both --chaos and --standby\n";
@@ -168,56 +242,18 @@ let solve_grid ~testbed ~hosts ~stats ~share_len ~timeout ~seed ~chaos ~chaos_pa
       let obs = obs_of ~report ~trace in
       let config =
         {
-          Gridsat_core.Config.default with
-          Gridsat_core.Config.share_max_len = share_len;
+          (run_config ~seed ~chaos ~hedge ~standby ~ship_sync ~share_budget ~journal_quota
+             ~outbox_cap)
+          with
+          Cfg.share_max_len = share_len;
           overall_timeout = timeout;
-          split_timeout = 5.;
-          share_budget;
-          journal_quota;
-          outbox_cap;
-          seed;
         }
-      in
-      (* --chaos also turns on the recovery machinery the plan targets:
-         light checkpoints, a tight heartbeat lease, eager splitting. *)
-      let config =
-        if chaos then
-          {
-            config with
-            Gridsat_core.Config.checkpoint = Gridsat_core.Config.Light;
-            checkpoint_period = 2.;
-            heartbeat_period = 2.;
-            suspect_timeout = 8.;
-            split_timeout = 1.;
-            slice = 0.5;
-          }
-        else config
       in
       (* --certify implies its own preconditions: integrity framing on and
          clause sharing off (Config.validate rejects anything else) *)
       let config =
         if certify then
-          { config with Gridsat_core.Config.certify = true; integrity_checks = true; share_max_len = 0 }
-        else config
-      in
-      (* --hedge arms the full straggler defense: hedged re-execution
-         plus percentile-driven (adaptive) lease and retry deadlines *)
-      let config =
-        if hedge then { config with Gridsat_core.Config.hedge = true; adaptive_timeouts = true }
-        else config
-      in
-      (* --standby arms hot-standby master replication; under --chaos the
-         lease and ship interval tighten so the canned early crash
-         promotes within the demo run's horizon *)
-      let config =
-        if standby then
-          {
-            config with
-            Gridsat_core.Config.standby = true;
-            ship_sync = ship = "sync";
-            standby_lease = (if chaos then 6. else config.Gridsat_core.Config.standby_lease);
-            ship_interval = (if chaos then 1. else config.Gridsat_core.Config.ship_interval);
-          }
+          { config with Cfg.certify = true; integrity_checks = true; share_max_len = 0 }
         else config
       in
       let fault_plan = if chaos then chaos_plan ~standby ~partition:chaos_partition () else [] in
@@ -238,14 +274,14 @@ let solve_grid ~testbed ~hosts ~stats ~share_len ~timeout ~seed ~chaos ~chaos_pa
               src_site = None;
               dst_site = None;
               bytes_per_window = choke;
-              window = config.Gridsat_core.Config.share_window;
+              window = config.Cfg.share_window;
               from_t = 0.;
               until_t = infinity;
             }
           :: fault_plan
         else fault_plan
       in
-      match Gridsat_core.Config.validate config with
+      match Cfg.validate config with
       | Error e ->
           Printf.eprintf "gridsat: bad configuration: %s\n" e;
           2
@@ -396,7 +432,7 @@ let solve_cmd =
   in
   let ship =
     Arg.(
-      value & opt string "async"
+      value & opt (enum ship_modes) false
       & info [ "ship" ] ~docv:"MODE"
           ~doc:
             "journal shipping mode with --standby: $(b,async) batches records on the ship \
@@ -475,11 +511,16 @@ let solve_cmd =
         prerr_endline e;
         2
     | Ok cnf -> (
+        let outputs = List.filter_map Fun.id [ report; trace ] in
+        guard_writes @@ fun () ->
         match mode with
-        | "seq" -> solve_sequential ~preprocess ~proof_out:proof ~stats ~budget ~report ~trace cnf
+        | "seq" ->
+            List.iter check_file (Option.to_list proof @ outputs);
+            solve_sequential ~preprocess ~proof_out:proof ~stats ~budget ~report ~trace cnf
         | "grid" ->
+            List.iter check_file outputs;
             solve_grid ~testbed ~hosts ~stats ~share_len ~timeout ~seed ~chaos ~chaos_partition
-              ~certify ~corrupt_p ~hedge ~standby ~ship ~stragglers ~flaky ~share_budget
+              ~certify ~corrupt_p ~hedge ~standby ~ship_sync:ship ~stragglers ~flaky ~share_budget
               ~journal_quota ~outbox_cap ~choke ~health_report ~report ~trace cnf
         | "par" ->
             if report <> None || trace <> None then
@@ -504,12 +545,8 @@ module Sjob = Gridsat_service.Job
 
 let split_commas s = String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) "")
 
-let ensure_dir d =
-  if not (Sys.file_exists d) then Sys.mkdir d 0o755
-  else if not (Sys.is_directory d) then invalid_arg (Printf.sprintf "%s exists and is not a directory" d)
-
 let serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tenants ~priorities
-    ~deadline ~seed ~chaos ~corrupt_p ~hedge ~standby ~ship ~slow_hosts ~flaky ~share_budget
+    ~deadline ~seed ~chaos ~corrupt_p ~hedge ~standby ~ship_sync ~slow_hosts ~flaky ~share_budget
     ~journal_quota ~outbox_cap ~choke ~brownout ~resubmit ~stats ~report ~slo ~flight_dir
     ~metrics_dir =
   let slo_spec =
@@ -523,9 +560,6 @@ let serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tena
   match slo_spec with
   | Error e ->
       prerr_endline e;
-      2
-  | Ok _ when ship <> "async" && ship <> "sync" ->
-      Printf.eprintf "bad --ship %S (async|sync)\n" ship;
       2
   | Ok slo_spec -> (
   match testbed_of_string ~hosts testbed with
@@ -572,52 +606,8 @@ let serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tena
                 else Obs.disabled
               in
               let run_config =
-                {
-                  Gridsat_core.Config.default with
-                  Gridsat_core.Config.split_timeout = 5.;
-                  share_budget;
-                  journal_quota;
-                  outbox_cap;
-                  seed;
-                }
-              in
-              (* --chaos targets the recovery machinery, so turn it on:
-                 light checkpoints, tight heartbeat lease, eager splits *)
-              let run_config =
-                if chaos then
-                  {
-                    run_config with
-                    Gridsat_core.Config.checkpoint = Gridsat_core.Config.Light;
-                    checkpoint_period = 2.;
-                    heartbeat_period = 2.;
-                    suspect_timeout = 8.;
-                    split_timeout = 1.;
-                    slice = 0.5;
-                  }
-                else run_config
-              in
-              let run_config =
-                if hedge then
-                  { run_config with Gridsat_core.Config.hedge = true; adaptive_timeouts = true }
-                else run_config
-              in
-              (* --standby keeps a hot replica fed with journal batches so
-                 a chaos-injected master crash promotes instead of waiting
-                 for a replay-restart; under --chaos, tighten the standby
-                 lease and ship cadence so the takeover fits the short
-                 per-job horizon (the lease must exceed heartbeat_period) *)
-              let run_config =
-                if standby then
-                  {
-                    run_config with
-                    Gridsat_core.Config.standby = true;
-                    ship_sync = ship = "sync";
-                    standby_lease =
-                      (if chaos then 6. else run_config.Gridsat_core.Config.standby_lease);
-                    ship_interval =
-                      (if chaos then 1. else run_config.Gridsat_core.Config.ship_interval);
-                  }
-                else run_config
+                run_config ~seed ~chaos ~hedge ~standby ~ship_sync ~share_budget ~journal_quota
+                  ~outbox_cap
               in
               let svc_chaos =
                 if chaos || corrupt_p > 0. || slow_hosts > 0 || choke > 0 then
@@ -660,8 +650,8 @@ let serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tena
                   (fun dir ->
                     ensure_dir dir;
                     fun text ->
-                      Out_channel.with_open_text (Filename.concat dir "metrics.prom")
-                        (fun oc -> Out_channel.output_string oc text))
+                      write_file (Filename.concat dir "metrics.prom") (fun oc ->
+                          Out_channel.output_string oc text))
                   metrics_dir
               in
               let svc =
@@ -846,7 +836,7 @@ let serve_cmd =
   in
   let ship =
     Arg.(
-      value & opt string "async"
+      value & opt (enum ship_modes) false
       & info [ "ship" ]
           ~doc:
             "journal shipping mode for --standby: async batches entries on a timer (bounded lag), \
@@ -942,8 +932,10 @@ let serve_cmd =
   let run files testbed hosts hosts_per_job max_concurrent queue_cap tenants priorities deadline
       seed chaos corrupt_p hedge standby ship slow_hosts flaky share_budget journal_quota
       outbox_cap choke brownout resubmit stats report slo flight_dir metrics_dir =
+    guard_writes @@ fun () ->
+    Option.iter check_file report;
     serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tenants ~priorities
-      ~deadline ~seed ~chaos ~corrupt_p ~hedge ~standby ~ship ~slow_hosts ~flaky ~share_budget
+      ~deadline ~seed ~chaos ~corrupt_p ~hedge ~standby ~ship_sync:ship ~slow_hosts ~flaky ~share_budget
       ~journal_quota ~outbox_cap ~choke ~brownout ~resubmit ~stats ~report ~slo ~flight_dir
       ~metrics_dir
   in

@@ -104,36 +104,9 @@ let apply st = function
       register st pid path client
   | Verdict { answer } -> st.verdict <- Some answer
 
-(* Full-fidelity rendering: every field of every entry lands in the
-   output, so the at-rest integrity seal covers the whole record. *)
-let pp_entry ppf e =
-  let lits ppf ls =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-      (fun ppf l -> Format.pp_print_int ppf (T.to_int l))
-      ppf ls
-  in
-  let pid ppf (a, b) = Format.fprintf ppf "%d.%d" a b in
-  match e with
-  | Registered { client } -> Format.fprintf ppf "registered %d" client
-  | Assigned { pid = p; dst; path } -> Format.fprintf ppf "assigned %a -> %d [%a]" pid p dst lits path
-  | Started { pid = p; client } -> Format.fprintf ppf "started %a @ %d" pid p client
-  | Granted { requester; partner } -> Format.fprintf ppf "granted %d + %d" requester partner
-  | Split { donor; donor_pid; donor_path; pid = p; dst; path } ->
-      Format.fprintf ppf "split %a @ %d [%a] -> %a @ %d [%a]" pid donor_pid donor lits donor_path
-        pid p dst lits path
-  | Refuted { pid = p } -> Format.fprintf ppf "refuted %a" pid p
-  | Shared { clauses } -> Format.fprintf ppf "shared %d" clauses
-  | Suspected { client } -> Format.fprintf ppf "suspected %d" client
-  | Died { client } -> Format.fprintf ppf "died %d" client
-  | Adopted { pid = p; client; path } ->
-      Format.fprintf ppf "adopted %a @ %d [%a]" pid p client lits path
-  | Verdict { answer } -> Format.fprintf ppf "verdict %s" answer
-
 (* Byte occupancy is an estimate (this journal models stable storage, it
    does not serialise to a real file), but a deterministic one: the same
-   entries always cost the same bytes, so quota crossings replay at the
-   same virtual instants. *)
+   entries always cost the same bytes. *)
 let state_bytes st =
   let b = ref 64 in
   Hashtbl.iter (fun _ _ -> b := !b + 8) st.clients;
@@ -142,169 +115,26 @@ let state_bytes st =
   Hashtbl.iter (fun _ _ -> b := !b + 8) st.refuted;
   !b
 
-type t = {
-  compact_every : int;
-  mutable base : state;  (* the last snapshot *)
-  mutable pending : (entry * int) list;
-      (* newest first; entries since the snapshot, each sealed with the
-         CRC-32 of its canonical rendering at append time *)
-  mutable pending_n : int;
-  mutable appended : int;
-  mutable compactions : int;
-  mutable records_dropped : int;
-  mutable quota : int;  (* bytes; 0 = unlimited *)
-  mutable base_bytes : int;
-  mutable pending_bytes : int;
-  mutable bytes_peak : int;
-  mutable forced_compactions : int;
-  mutable degraded : bool;
-  mutable degraded_entries : int;
-  obs : Obs.t;
-  obs_on : bool;
-  c_appends : Obs.Metrics.counter;
-  c_compactions : Obs.Metrics.counter;
-  c_dropped : Obs.Metrics.counter;
-  c_forced : Obs.Metrics.counter;
-  c_degraded : Obs.Metrics.counter;
-  g_bytes : Obs.Metrics.gauge;
-}
+include Sealed_log.Make (struct
+  type nonrec entry = entry
 
-let create ?(obs = Obs.disabled) ?(quota = 0) ~compact_every () =
-  let m = Obs.metrics obs in
-  let base = empty_state () in
-  {
-    compact_every = max 1 compact_every;
-    base;
-    pending = [];
-    pending_n = 0;
-    appended = 0;
-    compactions = 0;
-    records_dropped = 0;
-    quota = max 0 quota;
-    base_bytes = state_bytes base;
-    pending_bytes = 0;
-    bytes_peak = 0;
-    forced_compactions = 0;
-    degraded = false;
-    degraded_entries = 0;
-    obs;
-    obs_on = Obs.enabled obs;
-    c_appends = Obs.Metrics.counter m "journal.appends";
-    c_compactions = Obs.Metrics.counter m "journal.compactions";
-    c_dropped = Obs.Metrics.counter m "journal.records.dropped";
-    c_forced = Obs.Metrics.counter m "journal.forced_compactions";
-    c_degraded = Obs.Metrics.counter m "journal.degraded_entries";
-    g_bytes = Obs.Metrics.gauge m "journal.bytes";
-  }
+  type nonrec state = state
 
-let seal e = Integrity.crc32 (Format.asprintf "%a" pp_entry e)
+  let name = "journal"
 
-(* Drop pending records whose seal no longer matches their content (torn
-   or rotted at rest).  Each bad record is counted once: it disappears
-   from the pending list here, before any replay or compaction reads it.
-   Losing a record degrades recovery precision (a lost lineage means a
-   later re-derivation may have to give up) but never corrupts state —
-   strictly better than folding garbage into the snapshot. *)
-let scrub t =
-  let ok, bad = List.partition (fun (e, d) -> seal e = d) t.pending in
-  if bad <> [] then begin
-    t.pending <- ok;
-    t.pending_n <- List.length ok;
-    t.pending_bytes <- List.fold_left (fun a (e, _) -> a + Protocol.entry_bytes e) 0 ok;
-    t.records_dropped <- t.records_dropped + List.length bad;
-    if t.obs_on then
-      List.iter (fun _ -> Obs.Metrics.incr t.c_dropped) bad
-  end
+  let entry_bytes = Protocol.entry_bytes
 
-let compact t =
-  scrub t;
-  let folded = t.pending_n in
-  List.iter (fun (e, _) -> apply t.base e) (List.rev t.pending);
-  t.pending <- [];
-  t.pending_n <- 0;
-  t.pending_bytes <- 0;
-  t.base_bytes <- state_bytes t.base;
-  t.compactions <- t.compactions + 1;
-  if t.obs_on then begin
-    Obs.Metrics.incr t.c_compactions;
-    ignore
-      (Obs.Span.instant (Obs.spans t.obs) ~tid:Obs.Span.master_tid ~cat:"journal"
-         ~args:[ ("entries_folded", Obs.Json.Int folded) ]
-         "journal.compact")
-  end
+  let empty = empty_state
 
-let occupancy t = t.base_bytes + t.pending_bytes
+  let copy = copy_state
 
-let over_quota t = t.quota > 0 && occupancy t > t.quota
+  let apply = apply
 
-(* Quota discipline: the first crossing forces an emergency compaction
-   (folding pending entries into the snapshot is the only way this
-   storage can shrink).  If the snapshot alone still exceeds the quota,
-   the journal enters degraded mode — appends keep landing (losing
-   recovery records would be worse than overrunning an advisory quota)
-   but each one is counted, and the owner is expected to alarm and pause
-   replica shipping.  Degraded mode exits as soon as occupancy drops back
-   under quota, whether by compaction shrinkage or quota relief. *)
-let enforce_quota t =
-  if (not t.degraded) && over_quota t then begin
-    t.forced_compactions <- t.forced_compactions + 1;
-    if t.obs_on then Obs.Metrics.incr t.c_forced;
-    compact t;
-    if over_quota t then t.degraded <- true
-  end
-  else if t.degraded && not (over_quota t) then t.degraded <- false
+  let state_bytes = state_bytes
+end)
 
-let append t e =
-  t.pending <- (e, seal e) :: t.pending;
-  t.pending_n <- t.pending_n + 1;
-  t.pending_bytes <- t.pending_bytes + Protocol.entry_bytes e;
-  t.appended <- t.appended + 1;
-  if t.obs_on then Obs.Metrics.incr t.c_appends;
-  let occ = occupancy t in
-  if occ > t.bytes_peak then t.bytes_peak <- occ;
-  if t.pending_n >= t.compact_every then compact t;
-  enforce_quota t;
-  if t.degraded then begin
-    t.degraded_entries <- t.degraded_entries + 1;
-    if t.obs_on then Obs.Metrics.incr t.c_degraded
-  end;
-  if t.obs_on then Obs.Metrics.set t.g_bytes (float_of_int (occupancy t))
-
-let set_quota t ~quota =
-  t.quota <- max 0 quota;
-  enforce_quota t;
-  if t.obs_on then Obs.Metrics.set t.g_bytes (float_of_int (occupancy t))
-
-let quota t = t.quota
-
-let degraded t = t.degraded
-
-let degraded_entries t = t.degraded_entries
-
-let forced_compactions t = t.forced_compactions
-
-let bytes_peak t = t.bytes_peak
-
-let replay t =
-  scrub t;
-  let st = copy_state t.base in
-  List.iter (fun (e, _) -> apply st e) (List.rev t.pending);
-  st
-
-let corrupt_tail t ~n =
-  let rec rot k = function
-    | (e, d) :: rest when k > 0 -> (e, Integrity.corrupted d) :: rot (k - 1) rest
-    | rest -> rest
-  in
-  t.pending <- rot n t.pending
-
-let appended t = t.appended
-
-let compactions t = t.compactions
-
-let records_dropped t = t.records_dropped
-
-let entries_since_snapshot t = t.pending_n
+let create ?obs ?quota ~compact_every () =
+  create ?obs ?quota ~compact_every:(max 1 compact_every) ()
 
 (* Canonical serialisation: every table is rendered in sorted key order so
    two replays of the same journal digest identically regardless of

@@ -10,8 +10,8 @@
     restarted master needs to resume the run.
 
     Entries pending since the last snapshot are folded into a base
-    snapshot every [compact_every] appends, bounding replay work — the
-    classical WAL + checkpoint compaction scheme.
+    snapshot every [compact_every] appends, bounding replay work.  A
+    quota crossing compacts first and degrades only if still over.
 
     Replay is deterministic: {!digest} renders the replayed state in
     canonical (sorted) order, so two replays of the same journal always
@@ -67,74 +67,27 @@ type state = {
   mutable verdict : string option;
 }
 
-type t
+val empty_state : unit -> state
 
-val create : ?obs:Obs.t -> ?quota:int -> compact_every:int -> unit -> t
-(** [obs] (default [Obs.disabled]) receives append/compaction counters,
-    an occupancy gauge, and a compaction instant-span on the master
-    track.  [quota] (estimated bytes, default 0 = unlimited) is the disk
-    quota enforced by {!append}/{!set_quota}. *)
-
-val append : t -> entry -> unit
-(** Appends one entry, compacting into the snapshot when [compact_every]
-    entries have accumulated since the last compaction. *)
-
-val replay : t -> state
-(** Snapshot plus pending entries, folded into a fresh state.  Records
-    whose at-rest integrity seal no longer matches (torn/rotted writes)
-    are discarded — and counted in {!records_dropped} — rather than
-    folded in as garbage.  Replaying twice yields equal states. *)
+val apply : state -> entry -> unit
 
 val digest : state -> string
 (** Canonical hex digest of a replayed state (order-independent). *)
 
-val appended : t -> int
-(** Total entries ever appended. *)
+(** The journal is a {!Sealed_log} whose snapshot is a [state]: records
+    are sealed, scrubbed before replay, quota-accounted and compacted as
+    described there. *)
+include Sealed_log.S with type entry := entry and type state := state
 
-val set_quota : t -> quota:int -> unit
-(** Change the disk quota (0 lifts it).  Tightening below the current
-    occupancy forces an emergency compaction immediately; if the
-    compacted snapshot alone still exceeds the quota the journal enters
-    degraded mode.  Relief above the occupancy exits degraded mode. *)
-
-val quota : t -> int
-
-val occupancy : t -> int
-(** Estimated on-disk bytes: the snapshot plus the pending records.  The
-    estimate is deterministic, so quota crossings replay at the same
-    virtual instants under the same seed. *)
-
-val bytes_peak : t -> int
-(** Highest occupancy ever observed. *)
-
-val over_quota : t -> bool
-
-val degraded : t -> bool
-(** Journaled-degraded mode: occupancy exceeds the quota even after a
-    forced compaction.  Appends continue (dropping recovery records
-    would be strictly worse than overrunning an advisory quota) but each
-    is counted in {!degraded_entries}; the owner is expected to raise a
-    durability alert and pause replica shipping until recovery. *)
-
-val degraded_entries : t -> int
-(** Entries appended while the journal was in degraded mode. *)
-
-val forced_compactions : t -> int
-(** Emergency compactions forced by a quota crossing (in addition to the
-    periodic [compact_every] ones, which {!compactions} also counts). *)
+val create : ?obs:Obs.t -> ?quota:int -> compact_every:int -> unit -> t
+(** [compact_every] is clamped to at least 1.  [obs] (default
+    [Obs.disabled]) receives the [journal.*] counters, the occupancy gauge
+    and a compaction instant-span on the master track.  [quota] (estimated
+    bytes, default 0 = unlimited) is the disk quota. *)
 
 val compactions : t -> int
 (** How many times pending entries were folded into the snapshot. *)
 
-val entries_since_snapshot : t -> int
-
-val records_dropped : t -> int
-(** Pending records discarded because their integrity seal (CRC-32 of the
-    canonical rendering, taken at append time) no longer matched. *)
-
-val corrupt_tail : t -> n:int -> unit
-(** Fault injection: rot the newest [n] not-yet-compacted records at rest,
-    so their seals stop matching.  The next {!replay} or compaction
-    discards them. *)
-
-val pp_entry : Format.formatter -> entry -> unit
+val forced_compactions : t -> int
+(** Emergency compactions forced by a quota crossing (in addition to the
+    periodic [compact_every] ones, which {!compactions} also counts). *)

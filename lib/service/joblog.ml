@@ -26,20 +26,6 @@ type state = {
   mutable requeues : int;
 }
 
-(* Full-fidelity rendering: the at-rest seal covers every field. *)
-let pp_entry ppf = function
-  | Submitted { id; tenant; priority; digest; deadline } ->
-      Format.fprintf ppf "submitted %d %s %s %s %s" id tenant priority digest
-        (match deadline with None -> "-" | Some d -> Printf.sprintf "%.3f" d)
-  | Admitted { id } -> Format.fprintf ppf "admitted %d" id
-  | Shed { id; retry_after } -> Format.fprintf ppf "shed %d %.3f" id retry_after
-  | Cache_hit { id; answer } -> Format.fprintf ppf "cache-hit %d %s" id answer
-  | Started { id; hosts } ->
-      Format.fprintf ppf "started %d [%s]" id
-        (String.concat " " (List.map string_of_int hosts))
-  | Requeued { id; reason } -> Format.fprintf ppf "requeued %d %s" id reason
-  | Finished { id; terminal } -> Format.fprintf ppf "finished %d %s" id terminal
-
 (* Deterministic per-record byte estimate (the joblog models an
    append-only file; same records, same cost, so quota crossings replay
    at the same points). *)
@@ -53,110 +39,10 @@ let entry_bytes = function
   | Requeued { reason; _ } -> 16 + String.length reason
   | Finished { terminal; _ } -> 16 + String.length terminal
 
-type t = {
-  mutable records : (entry * int) list;  (* newest first, sealed *)
-  mutable appended : int;
-  mutable records_dropped : int;
-  mutable quota : int;  (* bytes; 0 = unlimited *)
-  mutable bytes : int;
-  mutable bytes_peak : int;
-  mutable degraded : bool;
-  mutable degraded_entries : int;
-  obs_on : bool;
-  flight : Obs.Flight.t;
-  flight_on : bool;
-  c_appends : Obs.Metrics.counter;
-  c_dropped : Obs.Metrics.counter;
-  c_degraded : Obs.Metrics.counter;
-  g_bytes : Obs.Metrics.gauge;
-}
-
-let create ?(obs = Obs.disabled) ?(quota = 0) () =
-  let m = Obs.metrics obs in
-  {
-    records = [];
-    appended = 0;
-    records_dropped = 0;
-    quota = max 0 quota;
-    bytes = 0;
-    bytes_peak = 0;
-    degraded = false;
-    degraded_entries = 0;
-    obs_on = Obs.enabled obs;
-    flight = Obs.flight obs;
-    flight_on = Obs.Flight.is_enabled (Obs.flight obs);
-    c_appends = Obs.Metrics.counter m "service.joblog.appends";
-    c_dropped = Obs.Metrics.counter m "service.joblog.records.dropped";
-    c_degraded = Obs.Metrics.counter m "service.joblog.degraded_entries";
-    g_bytes = Obs.Metrics.gauge m "service.joblog.bytes";
-  }
-
-let seal e = Integrity.crc32 (Format.asprintf "%a" pp_entry e)
-
-(* Compact structured view for the flight recorder. *)
-let flight_view e : string * (string * Obs.Json.t) list =
-  let i n v = (n, Obs.Json.Int v) in
-  let s n v = (n, Obs.Json.String v) in
-  match e with
-  | Submitted { id; tenant; priority; _ } ->
-      ("job_submitted", [ i "job" id; s "tenant" tenant; s "priority" priority ])
-  | Admitted { id } -> ("job_admitted", [ i "job" id ])
-  | Shed { id; retry_after } -> ("job_shed", [ i "job" id; ("retry_after", Obs.Json.Float retry_after) ])
-  | Cache_hit { id; answer } -> ("job_cache_hit", [ i "job" id; s "answer" answer ])
-  | Started { id; hosts } -> ("job_started", [ i "job" id; i "hosts" (List.length hosts) ])
-  | Requeued { id; reason } -> ("job_requeued", [ i "job" id; s "reason" reason ])
-  | Finished { id; terminal } -> ("job_finished", [ i "job" id; s "terminal" terminal ])
-
-(* The joblog is append-only (there is no snapshot to compact into), so
-   the quota defense is purely the explicit degraded mode: records keep
-   landing — losing lifecycle records would be worse than overrunning an
-   advisory quota — but each over-quota append is counted, and the
-   service alarms on the transition. *)
-let update_quota t =
-  t.degraded <- t.quota > 0 && t.bytes > t.quota;
-  if t.bytes > t.bytes_peak then t.bytes_peak <- t.bytes;
-  if t.obs_on then Obs.Metrics.set t.g_bytes (float_of_int t.bytes)
-
-let append t e =
-  t.records <- (e, seal e) :: t.records;
-  t.appended <- t.appended + 1;
-  t.bytes <- t.bytes + entry_bytes e;
-  update_quota t;
-  if t.degraded then begin
-    t.degraded_entries <- t.degraded_entries + 1;
-    if t.obs_on then Obs.Metrics.incr t.c_degraded
-  end;
-  (if t.flight_on then
-     let name, args = flight_view e in
-     Obs.Flight.note t.flight ~sub:"service" ~args name);
-  if t.obs_on then Obs.Metrics.incr t.c_appends
-
-let scrub t =
-  let ok, bad = List.partition (fun (e, d) -> seal e = d) t.records in
-  if bad <> [] then begin
-    t.records <- ok;
-    t.records_dropped <- t.records_dropped + List.length bad;
-    t.bytes <- List.fold_left (fun a (e, _) -> a + entry_bytes e) 0 ok;
-    update_quota t;
-    if t.obs_on then List.iter (fun _ -> Obs.Metrics.incr t.c_dropped) bad
-  end
-
-let set_quota t ~quota =
-  t.quota <- max 0 quota;
-  update_quota t
-
-let quota t = t.quota
-
-let bytes t = t.bytes
-
-let bytes_peak t = t.bytes_peak
-
-let degraded t = t.degraded
-
-let degraded_entries t = t.degraded_entries
-
 let empty_state () =
   { jobs = Hashtbl.create 32; submitted = 0; admitted = 0; shed = 0; cache_hits = 0; requeues = 0 }
+
+let copy_state st = { st with jobs = Hashtbl.copy st.jobs }
 
 let apply st = function
   | Submitted { id; _ } ->
@@ -177,24 +63,49 @@ let apply st = function
       Hashtbl.replace st.jobs id Queued
   | Finished { id; terminal } -> Hashtbl.replace st.jobs id (Done terminal)
 
-let replay t =
-  scrub t;
-  let st = empty_state () in
-  List.iter (fun (e, _) -> apply st e) (List.rev t.records);
-  st
+(* The joblog is append-only (there is no snapshot to compact into), so
+   its quota defense is the log's degraded mode alone: it is left only on
+   quota relief. *)
+include Gridsat_core.Sealed_log.Make (struct
+  type nonrec entry = entry
 
-let corrupt_tail t ~n =
-  let rec rot k = function
-    | (e, d) :: rest when k > 0 -> (e, Integrity.corrupted d) :: rot (k - 1) rest
-    | rest -> rest
-  in
-  t.records <- rot n t.records
+  type nonrec state = state
 
-let entries t = List.rev_map fst t.records
+  let name = "service.joblog"
 
-let appended t = t.appended
+  let entry_bytes = entry_bytes
 
-let records_dropped t = t.records_dropped
+  let empty = empty_state
+
+  let copy = copy_state
+
+  let apply = apply
+
+  let state_bytes _ = 0
+end)
+
+let create ?obs ?quota () = create ?obs ?quota ~compact_every:0 ()
+
+(* Compact structured view for the flight recorder. *)
+let flight_view e : string * (string * Obs.Json.t) list =
+  let i n v = (n, Obs.Json.Int v) in
+  let s n v = (n, Obs.Json.String v) in
+  match e with
+  | Submitted { id; tenant; priority; _ } ->
+      ("job_submitted", [ i "job" id; s "tenant" tenant; s "priority" priority ])
+  | Admitted { id } -> ("job_admitted", [ i "job" id ])
+  | Shed { id; retry_after } -> ("job_shed", [ i "job" id; ("retry_after", Obs.Json.Float retry_after) ])
+  | Cache_hit { id; answer } -> ("job_cache_hit", [ i "job" id; s "answer" answer ])
+  | Started { id; hosts } -> ("job_started", [ i "job" id; i "hosts" (List.length hosts) ])
+  | Requeued { id; reason } -> ("job_requeued", [ i "job" id; s "reason" reason ])
+  | Finished { id; terminal } -> ("job_finished", [ i "job" id; s "terminal" terminal ])
+
+let append t e =
+  append t e;
+  let flight = Obs.flight (obs t) in
+  if Obs.Flight.is_enabled flight then
+    let name, args = flight_view e in
+    Obs.Flight.note flight ~sub:"service" ~args name
 
 let digest st =
   let ids = Hashtbl.fold (fun id _ acc -> id :: acc) st.jobs [] |> List.sort compare in

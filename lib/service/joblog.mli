@@ -6,8 +6,7 @@
     replay the log and recover which jobs were in flight, which had
     already reached a terminal state, and what that state was — run-level
     recovery (split trees, checkpoints) stays the per-run journal's
-    business.  Records whose seal no longer matches are scrubbed and
-    counted, never folded into replayed state. *)
+    business. *)
 
 type entry =
   | Submitted of {
@@ -36,49 +35,21 @@ type state = {
   mutable requeues : int;
 }
 
-type t
+val empty_state : unit -> state
 
-val create : ?obs:Obs.t -> ?quota:int -> unit -> t
-(** [quota] (estimated bytes, default 0 = unlimited) is the disk quota of
-    the joblog's backing store. *)
-
-val append : t -> entry -> unit
-
-val set_quota : t -> quota:int -> unit
-(** Change the disk quota (0 lifts it); the degraded flag re-evaluates
-    immediately. *)
-
-val quota : t -> int
-
-val bytes : t -> int
-(** Deterministic estimate of the log's on-disk size. *)
-
-val bytes_peak : t -> int
-
-val degraded : t -> bool
-(** True while the estimated size exceeds a non-zero quota.  The joblog
-    is append-only (nothing to compact), so degraded mode only exits on
-    quota relief; appends continue but are counted. *)
-
-val degraded_entries : t -> int
-(** Records appended while over quota. *)
-
-val replay : t -> state
-(** Scrubs, then folds the surviving records in order. *)
-
-val entries : t -> entry list
-(** Surviving records, oldest first (test hook: lets the property test
-    count terminal records per job without replaying). *)
-
-val appended : t -> int
-
-val records_dropped : t -> int
-
-val corrupt_tail : t -> n:int -> unit
-(** Fault injection: rot the seals of the newest [n] records. *)
+val apply : state -> entry -> unit
 
 val digest : state -> string
 (** Canonical digest of a replayed state (sorted job ids), for
     determinism checks. *)
 
-val pp_entry : Format.formatter -> entry -> unit
+(** The joblog is an append-only {!Gridsat_core.Sealed_log}: records are
+    sealed, scrubbed before replay and quota-accounted as described
+    there.  With nothing to compact, degraded mode ends only on quota
+    relief. *)
+include Gridsat_core.Sealed_log.S with type entry := entry and type state := state
+
+val create : ?obs:Obs.t -> ?quota:int -> unit -> t
+(** [quota] (estimated bytes, default 0 = unlimited) is the disk quota of
+    the joblog's backing store.  With a flight recorder in [obs], every
+    appended record is also noted there. *)

@@ -570,7 +570,7 @@ let check_joblog t =
   if deg && not t.joblog_degraded_seen then
     Obs.Anomaly.trip (Obs.anomaly t.obs) ~at:(now t) ~rule:"joblog-degraded"
       ~detail:
-        (Printf.sprintf "%d bytes over a %d quota" (Joblog.bytes t.log) (Joblog.quota t.log))
+        (Printf.sprintf "%d bytes over a %d quota" (Joblog.occupancy t.log) (Joblog.quota t.log))
       ();
   t.joblog_degraded_seen <- deg
 
@@ -875,7 +875,7 @@ let report t =
         ("resource_pressure", J.Bool s.resource_pressure);
         ("joblog_appends", J.Int (Joblog.appended t.log));
         ("joblog_records_dropped", J.Int (Joblog.records_dropped t.log));
-        ("joblog_bytes", J.Int (Joblog.bytes t.log));
+        ("joblog_bytes", J.Int (Joblog.occupancy t.log));
         ("joblog_bytes_peak", J.Int (Joblog.bytes_peak t.log));
         ("joblog_quota", J.Int (Joblog.quota t.log));
         ("joblog_degraded", J.Bool (Joblog.degraded t.log));
