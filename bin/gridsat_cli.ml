@@ -128,6 +128,8 @@ let solve_sequential ~preprocess ~proof_out ~stats ~budget ~report ~trace cnf =
   0
 
 let testbed_of_string ~hosts = function
+  | "uniform" when hosts < 1 ->
+      Error (Printf.sprintf "gridsat: --hosts must be at least 1, got %d" hosts)
   | "uniform" -> Ok (Gridsat_core.Testbed.uniform ~n:hosts ~speed:2000. ())
   | "grads" -> Ok (Gridsat_core.Testbed.grads ())
   | "set2" -> Ok (Gridsat_core.Testbed.set2 ())
@@ -261,7 +263,7 @@ let solve_grid ~testbed ~hosts ~stats ~share_len ~timeout ~seed ~chaos ~chaos_pa
         if stragglers > 0 then straggler_plan ~n:stragglers ~flaky ~seed @ fault_plan else fault_plan
       in
       let fault_plan =
-        if corrupt_p > 0. then
+        if corrupt_p <> 0. then
           Grid.Fault.Corrupt_messages
             { src_site = None; dst_site = None; p = corrupt_p; from_t = 0.; until_t = infinity }
           :: fault_plan
@@ -281,7 +283,7 @@ let solve_grid ~testbed ~hosts ~stats ~share_len ~timeout ~seed ~chaos ~chaos_pa
           :: fault_plan
         else fault_plan
       in
-      match Cfg.validate config with
+      match Result.bind (Cfg.validate config) (fun () -> Grid.Fault.validate fault_plan) with
       | Error e ->
           Printf.eprintf "gridsat: bad configuration: %s\n" e;
           2
@@ -610,7 +612,7 @@ let serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tena
                   ~outbox_cap
               in
               let svc_chaos =
-                if chaos || corrupt_p > 0. || slow_hosts > 0 || choke > 0 then
+                if chaos || corrupt_p <> 0. || slow_hosts > 0 || choke > 0 then
                   Some
                     {
                       Svc.default_chaos with

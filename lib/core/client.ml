@@ -5,7 +5,7 @@ type callbacks = {
   log : Events.kind -> unit;
   save_checkpoint : client:int -> Subproblem.t -> unit;
   note_dup : int -> unit;
-  note_outbox : depth:int -> shed:int -> unit;
+  note_outbox : depth:int -> unit;
 }
 
 type solving = {
@@ -53,7 +53,6 @@ type t = {
       (* canonical keys of every foreign clause already enqueued into a
          solver here: a clause relayed twice (duplicate delivery, or two
          masters' relays racing across a failover) is suppressed *)
-  mutable dup_suppressed : int;
   stats_acc : Sat.Stats.t;
   obs : Obs.t;
   obs_on : bool;
@@ -100,15 +99,7 @@ let reliable t = match t.rel with Some r -> r | None -> assert false
 
 let master_down t = t.master_down
 
-let outbox_depth t = Flow.depth t.outbox
-
-let outbox_peak t = Flow.peak t.outbox
-
-let outbox_shed t = Flow.shed_count t.outbox
-
 let outbox_pressured t = Flow.under_pressure t.outbox
-
-let dup_suppressed t = t.dup_suppressed
 
 (* During a master outage the client keeps solving autonomously and parks
    its master-bound traffic in a watermark-bounded outbox instead of
@@ -120,7 +111,7 @@ let dup_suppressed t = t.dup_suppressed
 let report_shed t shed =
   let n = List.length shed in
   if n > 0 then t.callbacks.log (Events.Outbox_shed { client = t.cid; shed = n });
-  t.callbacks.note_outbox ~depth:(Flow.depth t.outbox) ~shed:n;
+  t.callbacks.note_outbox ~depth:(Flow.depth t.outbox);
   if t.obs_on then begin
     if n > 0 then Obs.Metrics.add t.c_outbox_shed n;
     Obs.Metrics.set t.g_outbox (float_of_int (Flow.depth t.outbox))
@@ -463,7 +454,6 @@ let handle_payload t ~src msg =
                   |> String.concat ","
                 in
                 if Hashtbl.mem t.seen_shares key then begin
-                  t.dup_suppressed <- t.dup_suppressed + 1;
                   t.callbacks.note_dup 1;
                   if t.obs_on then Obs.Metrics.incr t.c_dups;
                   false
@@ -616,7 +606,6 @@ let create ?(obs = Obs.disabled) ~sim ~bus ~cfg ~resource ~trace ~master callbac
           ();
       probing = false;
       seen_shares = Hashtbl.create 64;
-      dup_suppressed = 0;
       stats_acc = Sat.Stats.create ();
       obs;
       obs_on = Obs.enabled obs;

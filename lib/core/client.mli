@@ -33,9 +33,9 @@ type callbacks = {
   save_checkpoint : client:int -> Subproblem.t -> unit;
   note_dup : int -> unit;
       (** [n] foreign clauses were suppressed as duplicates on ingestion *)
-  note_outbox : depth:int -> shed:int -> unit;
-      (** outage-outbox occupancy changed: current [depth] and how many
-          buffered messages the watermark policy just [shed] *)
+  note_outbox : depth:int -> unit;
+      (** outage-outbox occupancy changed to [depth]; what the watermark
+          policy shed arrives as an {!Events.Outbox_shed} event *)
 }
 
 val create :
@@ -91,21 +91,6 @@ val master_down : t -> bool
 (** Whether this client currently believes the master is unreachable
     (retry exhaustion flipped it; any delivery from the master clears it). *)
 
-val outbox_depth : t -> int
-(** Messages currently parked in the outage outbox. *)
-
-val outbox_peak : t -> int
-(** Highest outbox depth ever reached. *)
-
-val outbox_shed : t -> int
-(** Buffered messages the outbox's watermark policy shed (always
-    non-critical traffic — clause-share batches; control messages are
-    unsheddable by construction). *)
-
 val outbox_pressured : t -> bool
 (** Whether the outbox is latched above its high watermark (releases at
     the low watermark) — a resource-pressure input to service brownout. *)
-
-val dup_suppressed : t -> int
-(** Foreign clauses dropped on ingestion because an identical clause
-    (same sorted literal set) was already enqueued here. *)

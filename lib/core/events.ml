@@ -57,6 +57,85 @@ type t = { time : float; kind : kind }
 
 let make time kind = { time; kind }
 
+module Tally = struct
+  type t = { slot : int; metric : string option }
+
+  let retries = { slot = 0; metric = None }
+  let false_suspicions = { slot = 1; metric = None }
+  let recoveries = { slot = 2; metric = Some "master.recoveries.checkpoint" }
+  let requeued = { slot = 3; metric = Some "master.recoveries.requeued" }
+  let rederivations = { slot = 4; metric = Some "master.recoveries.rederived" }
+  let master_crashes = { slot = 5; metric = None }
+  let hedges = { slot = 6; metric = None }
+  let hedge_cancellations = { slot = 7; metric = None }
+  let corrupt_detected = { slot = 8; metric = Some "integrity.corrupt.detected" }
+  let nacks = { slot = 9; metric = Some "integrity.nacks" }
+  let certified_fragments = { slot = 10; metric = Some "certify.unsat_fragments" }
+  let quarantines = { slot = 11; metric = Some "certify.quarantines" }
+  let ships = { slot = 12; metric = Some "master.journal.ships" }
+  let promotions = { slot = 13; metric = None }
+  let stale_epoch_rejections = { slot = 14; metric = Some "epoch.stale.rejected" }
+  let replication_divergences = { slot = 15; metric = None }
+  let splits_granted = { slot = 16; metric = Some "master.splits.granted" }
+  let splits_denied = { slot = 17; metric = Some "master.splits.denied" }
+  let shares_relayed = { slot = 18; metric = Some "master.shares.relayed" }
+  let shares_shed = { slot = 19; metric = Some "master.shares.shed" }
+  let outbox_shed = { slot = 20; metric = None }
+
+  let all =
+    [ retries; false_suspicions; recoveries; requeued; rederivations; master_crashes; hedges;
+      hedge_cancellations; corrupt_detected; nacks; certified_fragments; quarantines; ships;
+      promotions; stale_epoch_rejections; replication_divergences; splits_granted;
+      splits_denied; shares_relayed; shares_shed; outbox_shed ]
+
+  let () = List.iteri (fun i t -> assert (t.slot = i)) all
+end
+
+(* The rule table of the run's event sink: per kind, the tallies it bumps
+   (and by how much) and the anomaly rule it trips (with its detail).
+   Kinds in the last arm only land in the history and the flight
+   recorder. *)
+let rules kind ~bump ~trip =
+  match kind with
+  | Message_retried _ -> bump Tally.retries 1
+  | False_suspicion _ -> bump Tally.false_suspicions 1
+  | Recovered_from_checkpoint _ -> bump Tally.recoveries 1
+  | Recovery_requeued _ -> bump Tally.requeued 1
+  | Rederived_from_lineage _ -> bump Tally.rederivations 1
+  | Master_crashed -> bump Tally.master_crashes 1
+  | Master_restarted -> trip "master-failover" ""
+  | Hedge_launched _ -> bump Tally.hedges 1
+  | Hedge_cancelled _ -> bump Tally.hedge_cancellations 1
+  | Corrupt_message_detected { nacked; _ } ->
+      bump Tally.corrupt_detected 1;
+      if nacked then bump Tally.nacks 1
+  | Unsat_fragment_certified _ -> bump Tally.certified_fragments 1
+  | Client_quarantined { client } ->
+      bump Tally.quarantines 1;
+      trip "quarantine" (Printf.sprintf "client %d" client)
+  | Host_probation { host; _ } -> trip "probation" (Printf.sprintf "host %d" host)
+  | Journal_shipped _ -> bump Tally.ships 1
+  | Standby_promoted { epoch } ->
+      bump Tally.promotions 1;
+      trip "master-failover" (Printf.sprintf "epoch %d" epoch)
+  | Stale_epoch_rejected _ -> bump Tally.stale_epoch_rejections 1
+  | Replication_diverged _ -> bump Tally.replication_divergences 1
+  | Split_granted _ -> bump Tally.splits_granted 1
+  | Split_denied _ -> bump Tally.splits_denied 1
+  | Shares_broadcast { count; _ } -> bump Tally.shares_relayed count
+  | Shares_shed { clauses; _ } -> bump Tally.shares_shed clauses
+  | Outbox_shed { shed; _ } -> bump Tally.outbox_shed shed
+  | Journal_degraded { occupancy; quota } ->
+      trip "journal-degraded" (Printf.sprintf "%d bytes over a %d quota" occupancy quota)
+  | Client_started _ | Problem_assigned _ | Split_requested _ | Split_completed _ | Migration _
+  | Client_finished_unsat _ | Client_found_model _ | Model_verified _ | Client_killed _
+  | Host_crashed _ | Host_hung _ | Client_suspected _ | Message_given_up _ | Orphan_returned _
+  | Retries_exhausted _ | Checkpoint_saved _ | Master_outage_detected _ | Client_resynced _
+  | Batch_job_submitted _ | Batch_job_started _ | Batch_job_cancelled | Storage_corrupted _
+  | Certification_failed _ | Host_slowed _ | Host_readmitted _ | Ship_applied _
+  | Stale_primary_fenced _ | Forced_compaction _ | Journal_recovered _ | Terminated _ ->
+      ()
+
 let pp_kind ppf = function
   | Client_started id -> Format.fprintf ppf "client %d started" id
   | Problem_assigned { src; dst; bytes; depth } ->

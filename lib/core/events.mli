@@ -114,6 +114,49 @@ type t = { time : float; kind : kind }
 
 val make : float -> kind -> t
 
+(** The counts the master's event sink keeps about its run.  Each tally
+    is a sum over events, fixed by {!rules}; the master keeps all of them
+    whether or not observability is on, and mirrors those with a
+    [metric] into the Obs counter of that name. *)
+module Tally : sig
+  type t = private {
+    slot : int;  (** index into the sink's count array *)
+    metric : string option;  (** the Obs counter that mirrors it *)
+  }
+
+  val retries : t
+  val false_suspicions : t
+  val recoveries : t
+  val requeued : t
+  val rederivations : t
+  val master_crashes : t
+  val hedges : t
+  val hedge_cancellations : t
+  val corrupt_detected : t
+  val nacks : t
+  val certified_fragments : t
+  val quarantines : t
+  val ships : t
+  val promotions : t
+  val stale_epoch_rejections : t
+  val replication_divergences : t
+  val splits_granted : t
+  val splits_denied : t
+  val shares_relayed : t
+  val shares_shed : t
+  val outbox_shed : t
+
+  val all : t list
+  (** In slot order. *)
+end
+
+val rules : kind -> bump:(Tally.t -> int -> unit) -> trip:(string -> string -> unit) -> unit
+(** The sink's rule table: [rules kind ~bump ~trip] calls [bump] for each
+    tally the event adds to, with the amount ([Shares_shed] adds its
+    [clauses], [Outbox_shed] its [shed], a nacked
+    [Corrupt_message_detected] also adds to [nacks]), and [trip rule
+    detail] for the anomaly rule it trips. *)
+
 val pp : Format.formatter -> t -> unit
 
 val flight_view : kind -> string * (string * Obs.Json.t) list

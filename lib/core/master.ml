@@ -135,11 +135,9 @@ type t = {
   share_budget : Flow.budget option;
       (* per-recipient-link byte budget per virtual-time window
          ([cfg.share_budget] > 0); [None] keeps unconditional broadcast *)
-  mutable shares_shed : int;  (* clause relays refused by the budget *)
   mutable share_bytes : int;  (* share bytes actually put on the wire *)
   mutable last_share_shed : float;  (* resource-pressure recency signal *)
   mutable n_dup : int;  (* duplicate clauses suppressed across all clients *)
-  mutable n_outbox_shed : int;  (* outage-outbox messages shed across all clients *)
   mutable outbox_peak : int;  (* deepest any client's outage outbox ever got *)
   mutable checkpoint_bytes_peak : int;
   mutable events : Events.t list;  (* newest first *)
@@ -151,29 +149,18 @@ type t = {
   obs_on : bool;
   split_spans : (int, Obs.Span.id) Hashtbl.t;  (* requester -> open split span *)
   mutable outage_span : Obs.Span.id;  (* covers a master crash .. reconciliation *)
-  c_splits_granted : Obs.Metrics.counter;
-  c_splits_denied : Obs.Metrics.counter;
+  tallies : int array;  (* always on, by [Events.Tally] slot: [result] reads these *)
+  bump : Events.Tally.t -> int -> unit;  (* adds to a tally and its Obs mirror *)
+  trip : string -> string -> unit;  (* trips an anomaly rule when the funnel is live *)
   c_splits_completed : Obs.Metrics.counter;
-  c_shares_relayed : Obs.Metrics.counter;
-  c_recov_checkpoint : Obs.Metrics.counter;
-  c_recov_rederived : Obs.Metrics.counter;
-  c_recov_requeued : Obs.Metrics.counter;
   c_migrations : Obs.Metrics.counter;
   c_deaths : Obs.Metrics.counter;
-  c_corrupt_detected : Obs.Metrics.counter;
-  c_nacks : Obs.Metrics.counter;
-  c_certified : Obs.Metrics.counter;
-  c_quarantines : Obs.Metrics.counter;
-  c_ships : Obs.Metrics.counter;
-  c_stale_rejected : Obs.Metrics.counter;
-  c_shares_shed : Obs.Metrics.counter;
   c_share_bytes : Obs.Metrics.counter;
   g_repl_lag : Obs.Metrics.gauge;
   h_failover : Obs.Metrics.histogram;
   h_share_fanout : Obs.Metrics.histogram;
   flight : Obs.Flight.t;
   flight_on : bool;
-  anomaly : Obs.Anomaly.t;
   anomaly_on : bool;
   d_hb_gap : Obs.Anomaly.detector;  (* fleet-wide heartbeat inter-arrival gaps *)
   d_share_volume : Obs.Anomaly.detector;  (* bytes per relayed share batch *)
@@ -184,34 +171,16 @@ let master_id = 0
 
 let initial_pid : Protocol.pid = (master_id, 0)
 
-(* Every endpoint's events funnel through here (clients log via their
-   callbacks), so this is also where the run-wide integrity and
-   certification counters are kept. *)
+(* The run's event sink.  Every endpoint's events funnel through here
+   (clients and the standby log via callbacks): the event is noted in the
+   flight recorder, turned into tallies and anomaly trips by the
+   [Events.rules] table, and appended to the history.  The note comes
+   first so a dump that a trip provokes holds the tripping event. *)
 let log t kind =
-  (if t.obs_on then
-     match kind with
-     | Events.Corrupt_message_detected { nacked; _ } ->
-         Obs.Metrics.incr t.c_corrupt_detected;
-         if nacked then Obs.Metrics.incr t.c_nacks
-     | Events.Unsat_fragment_certified _ -> Obs.Metrics.incr t.c_certified
-     | Events.Client_quarantined _ -> Obs.Metrics.incr t.c_quarantines
-     | Events.Stale_epoch_rejected _ -> Obs.Metrics.incr t.c_stale_rejected
-     | _ -> ());
   (if t.flight_on then
      let name, args = Events.flight_view kind in
      Obs.Flight.note t.flight ~sub:"master" ~args name);
-  (if t.anomaly_on then
-     let trip rule detail =
-       Obs.Anomaly.trip t.anomaly ~at:(Grid.Sim.now t.sim) ~rule ~detail ()
-     in
-     match kind with
-     | Events.Client_quarantined { client } -> trip "quarantine" (Printf.sprintf "client %d" client)
-     | Events.Host_probation { host; _ } -> trip "probation" (Printf.sprintf "host %d" host)
-     | Events.Master_restarted -> trip "master-failover" ""
-     | Events.Standby_promoted { epoch } -> trip "master-failover" (Printf.sprintf "epoch %d" epoch)
-     | Events.Journal_degraded { occupancy; quota } ->
-         trip "journal-degraded" (Printf.sprintf "%d bytes over a %d quota" occupancy quota)
-     | _ -> ());
+  Events.rules kind ~bump:t.bump ~trip:t.trip;
   t.events <- Events.make (Grid.Sim.now t.sim) kind :: t.events
 
 let spanr t = Obs.spans t.obs
@@ -247,8 +216,6 @@ let epoch t = t.epoch
 
 let promoted t = t.promoted
 
-let replica t = t.replica
-
 let send t ~dst msg =
   if Protocol.critical msg then Reliable.send (reliable t) ~dst msg else send_raw t ~dst msg
 
@@ -267,7 +234,6 @@ let ship_flush t =
       t.shipped_seq <- seq + List.length entries;
       let state_digest = Journal.digest (Journal.replay t.journal) in
       log t (Events.Journal_shipped { seq; entries = List.length entries });
-      if t.obs_on then Obs.Metrics.incr t.c_ships;
       send t ~dst:Replica.standby_id (Protocol.Ship { seq; entries; state_digest })
   | _ -> ()
 
@@ -341,12 +307,12 @@ let note_host_success t src =
 
 let aggregate_stats t = Pool.aggregate_solver_stats t.pool
 
-let count_events t f = List.fold_left (fun acc e -> if f e.Events.kind then acc + 1 else acc) 0 t.events
-
 let result t =
   match t.answer with
   | None -> invalid_arg "Master.result: run not finished"
   | Some answer ->
+      let module T = Events.Tally in
+      let n (tl : T.t) = t.tallies.(tl.slot) in
       {
         answer;
         time = Grid.Sim.now t.sim -. t.started_at;
@@ -358,40 +324,30 @@ let result t =
         bytes = Grid.Everyware.bytes_sent t.bus;
         dropped_messages = Grid.Everyware.messages_dropped t.bus;
         dropped_bytes = Grid.Everyware.bytes_dropped t.bus;
-        retries = count_events t (function Events.Message_retried _ -> true | _ -> false);
-        false_suspicions = count_events t (function Events.False_suspicion _ -> true | _ -> false);
-        recoveries =
-          count_events t (function Events.Recovered_from_checkpoint _ -> true | _ -> false);
-        rederivations =
-          count_events t (function Events.Rederived_from_lineage _ -> true | _ -> false);
-        master_crashes = count_events t (function Events.Master_crashed -> true | _ -> false);
-        hedges = count_events t (function Events.Hedge_launched _ -> true | _ -> false);
-        hedge_cancellations =
-          count_events t (function Events.Hedge_cancelled _ -> true | _ -> false);
+        retries = n T.retries;
+        false_suspicions = n T.false_suspicions;
+        recoveries = n T.recoveries;
+        rederivations = n T.rederivations;
+        master_crashes = n T.master_crashes;
+        hedges = n T.hedges;
+        hedge_cancellations = n T.hedge_cancellations;
         checkpoint_bytes = t.checkpoint_bytes_peak;
-        corrupt_detected =
-          count_events t (function Events.Corrupt_message_detected _ -> true | _ -> false);
-        nacks =
-          count_events t (function
-            | Events.Corrupt_message_detected { nacked = true; _ } -> true
-            | _ -> false);
-        certified_fragments =
-          count_events t (function Events.Unsat_fragment_certified _ -> true | _ -> false);
-        quarantines = count_events t (function Events.Client_quarantined _ -> true | _ -> false);
+        corrupt_detected = n T.corrupt_detected;
+        nacks = n T.nacks;
+        certified_fragments = n T.certified_fragments;
+        quarantines = n T.quarantines;
         checkpoints_discarded = Checkpoint.discarded t.checkpoints;
         journal_records_dropped = Journal.records_dropped t.journal;
-        ships = count_events t (function Events.Journal_shipped _ -> true | _ -> false);
-        promotions = count_events t (function Events.Standby_promoted _ -> true | _ -> false);
-        stale_epoch_rejections =
-          count_events t (function Events.Stale_epoch_rejected _ -> true | _ -> false);
-        replication_divergences =
-          count_events t (function Events.Replication_diverged _ -> true | _ -> false);
-        shares_shed = t.shares_shed;
+        ships = n T.ships;
+        promotions = n T.promotions;
+        stale_epoch_rejections = n T.stale_epoch_rejections;
+        replication_divergences = n T.replication_divergences;
+        shares_shed = n T.shares_shed;
         share_bytes = t.share_bytes;
         share_link_peak =
           (match t.share_budget with Some b -> Flow.window_peak b | None -> 0);
         dup_suppressed = t.n_dup;
-        outbox_shed = t.n_outbox_shed;
+        outbox_shed = n T.outbox_shed;
         outbox_peak = t.outbox_peak;
         forced_compactions = Journal.forced_compactions t.journal;
         degraded_entries = Journal.degraded_entries t.journal;
@@ -464,7 +420,6 @@ let grant_split t requester =
       jlog t (Journal.Granted { requester; partner });
       log t (Events.Split_granted { client = requester; partner });
       if t.obs_on then begin
-        Obs.Metrics.incr t.c_splits_granted;
         (* the span covers the paper's five-message split sequence: it
            opens at the grant and closes on Split_ok / Split_failed *)
         let sp =
@@ -528,14 +483,11 @@ let assign_recovered t ~failed ~from_checkpoint pid sp =
   match Scheduler.pick t.cfg.scheduler ~rng:t.rng (idle_candidates t) with
   | Some cand ->
       let dst = cand.Scheduler.resource.R.id in
-      if from_checkpoint then begin
+      if from_checkpoint then
         log t (Events.Recovered_from_checkpoint { client = failed; onto = dst });
-        if t.obs_on then Obs.Metrics.incr t.c_recov_checkpoint
-      end;
       send_problem t ~dst pid sp
   | None ->
       log t (Events.Recovery_requeued { client = failed });
-      if t.obs_on then Obs.Metrics.incr t.c_recov_requeued;
       Queue.add (pid, sp, failed, from_checkpoint) t.pending_recovery
 
 let rec serve_recovery t =
@@ -545,10 +497,8 @@ let rec serve_recovery t =
     | Some cand ->
         let dst = cand.Scheduler.resource.R.id in
         let pid, sp, failed, from_checkpoint = Queue.pop t.pending_recovery in
-        if from_checkpoint then begin
+        if from_checkpoint then
           log t (Events.Recovered_from_checkpoint { client = failed; onto = dst });
-          if t.obs_on then Obs.Metrics.incr t.c_recov_checkpoint
-        end;
         send_problem t ~dst pid sp;
         serve_recovery t
 
@@ -561,7 +511,6 @@ let rederive_lost t ~holder pid =
   | Some path ->
       let sp = Subproblem.of_lineage t.cnf path in
       log t (Events.Rederived_from_lineage { holder; depth = List.length path });
-      if t.obs_on then Obs.Metrics.incr t.c_recov_rederived;
       minstant t ~cat:"master"
         ~args:
           [
@@ -943,7 +892,6 @@ let on_split_request t src _reason =
   if hedged_requester || not (grant_split t src) then begin
     let h = host t src in
     t.backlog <- t.backlog @ [ (src, h.busy_since) ];
-    if t.obs_on then Obs.Metrics.incr t.c_splits_denied;
     log t (Events.Split_denied { client = src })
   end
 
@@ -1092,14 +1040,11 @@ let on_shares t src clauses =
       t.share_bytes <- t.share_bytes + !sent_bytes;
       if t.obs_on then Obs.Metrics.add t.c_share_bytes !sent_bytes;
       if !shed_clauses > 0 then begin
-        t.shares_shed <- t.shares_shed + !shed_clauses;
         t.last_share_shed <- tnow;
-        log t (Events.Shares_shed { origin = src; clauses = !shed_clauses; bytes = !shed_bytes });
-        if t.obs_on then Obs.Metrics.add t.c_shares_shed !shed_clauses
+        log t (Events.Shares_shed { origin = src; clauses = !shed_clauses; bytes = !shed_bytes })
       end);
   jlog t (Journal.Shared { clauses = List.length clauses });
   if t.obs_on then begin
-    Obs.Metrics.add t.c_shares_relayed (List.length clauses);
     Obs.Metrics.observe t.h_share_fanout (float_of_int !recipients);
     minstant t ~cat:"protocol"
       ~args:
@@ -1805,6 +1750,13 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
         if cfg.Config.hedge || cfg.Config.adaptive_timeouts then Some (Health.create ())
         else None
   in
+  let anomaly = Obs.anomaly obs in
+  let anomaly_on = Obs.Anomaly.is_enabled anomaly in
+  let tallies = Array.make (List.length Events.Tally.all) 0 in
+  let mirror (tl : Events.Tally.t) =
+    if Obs.enabled obs then Option.map (Obs.Metrics.counter m) tl.metric else None
+  in
+  let mirrors = Array.of_list (List.map mirror Events.Tally.all) in
   let t =
     {
       sim;
@@ -1851,11 +1803,9 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
              (Flow.budget ~bytes_per_window:cfg.Config.share_budget
                 ~window:cfg.Config.share_window)
          else None);
-      shares_shed = 0;
       share_bytes = 0;
       last_share_shed = neg_infinity;
       n_dup = 0;
-      n_outbox_shed = 0;
       outbox_peak = 0;
       checkpoint_bytes_peak = 0;
       events = [];
@@ -1867,33 +1817,27 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
       obs_on = Obs.enabled obs;
       flight = Obs.flight obs;
       flight_on = Obs.Flight.is_enabled (Obs.flight obs);
-      anomaly = Obs.anomaly obs;
-      anomaly_on = Obs.Anomaly.is_enabled (Obs.anomaly obs);
+      anomaly_on;
       d_hb_gap =
-        Obs.Anomaly.detector (Obs.anomaly obs) ~name:"heartbeat-gap" ~direction:`High
+        Obs.Anomaly.detector anomaly ~name:"heartbeat-gap" ~direction:`High
           ~min_n:16 ();
       d_share_volume =
-        Obs.Anomaly.detector (Obs.anomaly obs) ~name:"share-volume" ~direction:`High
+        Obs.Anomaly.detector anomaly ~name:"share-volume" ~direction:`High
           ~min_n:16 ();
       last_hb = Hashtbl.create 16;
       split_spans = Hashtbl.create 8;
       outage_span = Obs.Span.none;
-      c_splits_granted = Obs.Metrics.counter m "master.splits.granted";
-      c_splits_denied = Obs.Metrics.counter m "master.splits.denied";
+      tallies;
+      bump =
+        (fun tl n ->
+          tallies.(tl.slot) <- tallies.(tl.slot) + n;
+          match mirrors.(tl.slot) with Some c -> Obs.Metrics.add c n | None -> ());
+      trip =
+        (fun rule detail ->
+          if anomaly_on then Obs.Anomaly.trip anomaly ~at:(Grid.Sim.now sim) ~rule ~detail ());
       c_splits_completed = Obs.Metrics.counter m "master.splits.completed";
-      c_shares_relayed = Obs.Metrics.counter m "master.shares.relayed";
-      c_recov_checkpoint = Obs.Metrics.counter m "master.recoveries.checkpoint";
-      c_recov_rederived = Obs.Metrics.counter m "master.recoveries.rederived";
-      c_recov_requeued = Obs.Metrics.counter m "master.recoveries.requeued";
       c_migrations = Obs.Metrics.counter m "master.migrations";
       c_deaths = Obs.Metrics.counter m "master.client.deaths";
-      c_corrupt_detected = Obs.Metrics.counter m "integrity.corrupt.detected";
-      c_nacks = Obs.Metrics.counter m "integrity.nacks";
-      c_certified = Obs.Metrics.counter m "certify.unsat_fragments";
-      c_quarantines = Obs.Metrics.counter m "certify.quarantines";
-      c_ships = Obs.Metrics.counter m "master.journal.ships";
-      c_stale_rejected = Obs.Metrics.counter m "epoch.stale.rejected";
-      c_shares_shed = Obs.Metrics.counter m "master.shares.shed";
       c_share_bytes = Obs.Metrics.counter m "master.shares.bytes";
       g_repl_lag = Obs.Metrics.gauge m "standby.replication.lag";
       h_failover = Obs.Metrics.histogram m "master.failover.seconds";
@@ -1969,10 +1913,7 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
             if total > t.checkpoint_bytes_peak then t.checkpoint_bytes_peak <- total
           end);
       note_dup = (fun n -> t.n_dup <- t.n_dup + n);
-      note_outbox =
-        (fun ~depth ~shed ->
-          if depth > t.outbox_peak then t.outbox_peak <- depth;
-          t.n_outbox_shed <- t.n_outbox_shed + shed);
+      note_outbox = (fun ~depth -> if depth > t.outbox_peak then t.outbox_peak <- depth);
     }
   in
   List.iter (fun th -> add_host t th callbacks) testbed.Testbed.hosts;

@@ -234,10 +234,6 @@ val epoch : t -> int
 val promoted : t -> bool
 (** Whether the hot standby has taken this run over. *)
 
-val replica : t -> Replica.t option
-(** The hot-standby replica, when the config enables [standby] (for
-    tests: applied counts, divergences, shadow digests). *)
-
 val events_so_far : t -> Events.t list
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit

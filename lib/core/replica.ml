@@ -18,8 +18,6 @@ type t = {
       (* out-of-order batches, keyed by the entry index they start at *)
   seen : (int * int, unit) Hashtbl.t;  (* (src, mid) reliable-envelope dedup *)
   mutable applied_entries : int;
-  mutable batches : int;
-  mutable divergences : int;
   mutable epoch : int;
   mutable last_heard : float;
   mutable promoted : bool;
@@ -30,16 +28,6 @@ type t = {
 }
 
 let journal t = t.journal
-
-let applied t = t.applied_entries
-
-let batches t = t.batches
-
-let divergences t = t.divergences
-
-let epoch t = t.epoch
-
-let promoted t = t.promoted
 
 let digest t = Journal.digest (Journal.replay t.journal)
 
@@ -69,13 +57,11 @@ let rec apply_batch t ~src ~seq ~entries ~state_digest =
   else begin
     List.iter (Journal.append t.journal) entries;
     t.applied_entries <- t.applied_entries + List.length entries;
-    t.batches <- t.batches + 1;
     if t.obs_on then Obs.Metrics.incr t.c_ships;
     (* the continuous consistency check: our shadow replay must render to
        the exact digest the primary computed when it flushed this batch *)
     let ok = String.equal (digest t) state_digest in
     if not ok then begin
-      t.divergences <- t.divergences + 1;
       if t.obs_on then Obs.Metrics.incr t.c_divergences;
       t.log (Events.Replication_diverged { seq })
     end;
@@ -161,8 +147,6 @@ let create ?(obs = Obs.disabled) ~sim ~bus ~cfg ~log ~on_lease_expired () =
       pending = Hashtbl.create 8;
       seen = Hashtbl.create 64;
       applied_entries = 0;
-      batches = 0;
-      divergences = 0;
       epoch = 0;
       last_heard = Grid.Sim.now sim;
       promoted = false;

@@ -51,27 +51,6 @@ val journal : t -> Journal.t
 (** The shadow journal — handed to the promoting master as its
     authoritative write-ahead log. *)
 
-val applied : t -> int
-(** Journal entries applied so far (the primary subtracts this, as
-    reported by [Ship_ack], from its own appended count to compute the
-    replication-lag gauge). *)
-
-val batches : t -> int
-(** Ship batches applied (including empty liveness ticks). *)
-
-val divergences : t -> int
-(** Digest mismatches observed — must be zero in any sound run. *)
-
-val digest : t -> string
-(** Replay digest of the shadow journal right now. *)
-
-val epoch : t -> int
-(** Highest master epoch this replica has seen. *)
-
-val promoted : t -> bool
-(** Whether [on_lease_expired] has fired (set before the callback runs,
-    so re-entrant shipping cannot race the promotion). *)
-
 val mark_promoted : t -> unit
 (** Force the replica inert without firing the lease callback (the master
     promotes it for an external reason, e.g. an explicit handover). *)

@@ -838,6 +838,113 @@ let prop_shadow_digest_matches =
       && r.C.Master.ships > 0
       && r.C.Master.replication_divergences = 0)
 
+(* ---------- the event sink's tallies ---------- *)
+
+(* Every count the master keeps is a tally over its events, kept whether
+   or not observability is on.  Under five fault mixes the run must be
+   identical with Obs off and on (bar real-time solver seconds), and each
+   Obs counter the sink mirrors must equal its result field and an
+   independent sum over the event history. *)
+let test_sink_tallies_agree () =
+  let cnf = Workloads.Php.instance ~pigeons:7 ~holes:6 in
+  let t = (solve cnf).C.Master.time in
+  let restart = master_crash_scenario () in
+  let corrupt p =
+    F.Corrupt_messages { src_site = None; dst_site = None; p; from_t = 0.; until_t = infinity }
+  in
+  let cases =
+    [
+      ( "host crash",
+        chaos_config,
+        [ F.Crash_host { host = 1; at = crash_time t } ],
+        fun r -> r.C.Master.recoveries > 0 );
+      ( "standby promotion",
+        standby_config,
+        [ F.Crash_master { at = Float.max 4. (0.3 *. t); restart_after = infinity } ],
+        fun r -> r.C.Master.ships > 0 && r.C.Master.promotions = 1 );
+      ( "master crash and restart",
+        restart.config,
+        restart.plan t,
+        fun r -> r.C.Master.master_crashes = 1 );
+      ( "certify, 5% corruption",
+        certify_config,
+        [ corrupt 0.05 ],
+        fun r -> r.C.Master.corrupt_detected > 0 && r.C.Master.certified_fragments > 0 );
+      ( "share budget and journal quota",
+        { chaos_config with Cfg.share_budget = 200; journal_quota = 300 },
+        [],
+        fun r -> r.C.Master.shares_shed > 0 && r.C.Master.forced_compactions > 0 );
+    ]
+  in
+  let untimed (r : C.Master.result) =
+    let stats = r.C.Master.solver_stats in
+    { r with C.Master.solver_stats = { stats with Sat.Stats.bcp_seconds = 0.; total_seconds = 0. } }
+  in
+  List.iter
+    (fun (name, config, fault_plan, exercised) ->
+      let run obs = C.Gridsat.solve ~config ~fault_plan ~obs ~testbed:(testbed2site ()) cnf in
+      let off = run Obs.disabled in
+      let obs = Obs.create () in
+      let r = run obs in
+      check bool (name ^ ": the fault mix exercised its machinery") true (exercised r);
+      check bool (name ^ ": identical result with Obs off and on") true (untimed off = untimed r);
+      let sum f = List.fold_left (fun acc e -> acc + f e.C.Events.kind) 0 r.C.Master.events in
+      let count p = sum (fun k -> if p k then 1 else 0) in
+      let counter metric =
+        Obs.Metrics.counter_value (Obs.Metrics.counter (Obs.metrics obs) metric)
+      in
+      List.iter
+        (fun (metric, field, events) ->
+          check Alcotest.int (name ^ ": " ^ metric ^ " = result field") field (counter metric);
+          check Alcotest.int (name ^ ": " ^ metric ^ " = event sum") events (counter metric))
+        C.Events.
+          [
+            ( "master.recoveries.checkpoint",
+              r.C.Master.recoveries,
+              count (function Recovered_from_checkpoint _ -> true | _ -> false) );
+            ( "master.recoveries.rederived",
+              r.C.Master.rederivations,
+              count (function Rederived_from_lineage _ -> true | _ -> false) );
+            ( "integrity.corrupt.detected",
+              r.C.Master.corrupt_detected,
+              count (function Corrupt_message_detected _ -> true | _ -> false) );
+            ( "integrity.nacks",
+              r.C.Master.nacks,
+              count (function Corrupt_message_detected { nacked; _ } -> nacked | _ -> false) );
+            ( "certify.unsat_fragments",
+              r.C.Master.certified_fragments,
+              count (function Unsat_fragment_certified _ -> true | _ -> false) );
+            ( "certify.quarantines",
+              r.C.Master.quarantines,
+              count (function Client_quarantined _ -> true | _ -> false) );
+            ( "master.journal.ships",
+              r.C.Master.ships,
+              count (function Journal_shipped _ -> true | _ -> false) );
+            ( "epoch.stale.rejected",
+              r.C.Master.stale_epoch_rejections,
+              count (function Stale_epoch_rejected _ -> true | _ -> false) );
+            ( "master.shares.shed",
+              r.C.Master.shares_shed,
+              sum (function Shares_shed { clauses; _ } -> clauses | _ -> 0) );
+          ];
+      (* mirrored counters with no result field of their own *)
+      List.iter
+        (fun (metric, events) ->
+          check Alcotest.int (name ^ ": " ^ metric ^ " = event sum") events (counter metric))
+        C.Events.
+          [
+            ( "master.recoveries.requeued",
+              count (function Recovery_requeued _ -> true | _ -> false) );
+            ("master.splits.granted", count (function Split_granted _ -> true | _ -> false));
+            ("master.splits.denied", count (function Split_denied _ -> true | _ -> false));
+            ( "master.shares.relayed",
+              sum (function Shares_broadcast { count; _ } -> count | _ -> 0) );
+          ];
+      check Alcotest.int (name ^ ": outbox_shed = event sum")
+        (sum (function C.Events.Outbox_shed { shed; _ } -> shed | _ -> 0))
+        r.C.Master.outbox_shed)
+    cases
+
 let () =
   let matrix =
     List.concat_map
@@ -855,6 +962,7 @@ let () =
         [
           Alcotest.test_case "partition retries" `Slow test_partition_retries;
           Alcotest.test_case "loss counters" `Slow test_loss_counters_surface;
+          Alcotest.test_case "sink tallies agree with Obs" `Slow test_sink_tallies_agree;
         ] );
       ( "durability",
         [
