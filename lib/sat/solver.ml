@@ -1,12 +1,5 @@
 module T = Types
 
-type clause = {
-  mutable lits : T.lit array; (* lits.(0) and lits.(1) are the watched literals *)
-  learned : bool;
-  mutable activity : float;
-  mutable deleted : bool;
-}
-
 type restart_strategy = Luby | Geometric of float | Fixed
 
 type config = {
@@ -59,23 +52,32 @@ type conflict_info = {
   backjump_level : int;
 }
 
-let dummy_clause = { lits = [||]; learned = false; activity = 0.; deleted = true }
+(* Literal helpers repeated from [Types]: the library is built without
+   cross-module inlining (see dune), and these sit on the BCP path. *)
+let var l = l lsr 1
 
-(* A watch-list entry: the clause plus a "blocker" literal (some other
-   literal of the clause, usually the other watch).  If the blocker is
-   true the clause is satisfied and need not be dereferenced at all —
-   the classic mem-traffic optimisation for two-watched-literal BCP. *)
-type watcher = { c : clause; blocker : T.lit }
+let pos v = 2 * v
 
-let dummy_watcher = { c = dummy_clause; blocker = 0 }
+let negate l = l lxor 1
+
+(* Per-literal value bytes.  Both polarities of a variable are written on
+   assignment and on backtrack, so a literal test is a single load. *)
+let v_unknown = '\000'
+
+let v_true = '\001'
+
+let v_false = '\002'
+
+(* [reasons] entry of a decision, a root unit or an unassigned variable. *)
+let no_reason = -1
 
 type t = {
   cfg : config;
   nvars : int;
   cnf : Cnf.t; (* the original formula, kept for model building *)
-  assigns : T.value array; (* var -> value *)
+  vals : Bytes.t; (* literal -> v_unknown | v_true | v_false *)
   levels : int array; (* var -> decision level (valid when assigned) *)
-  reasons : clause option array; (* var -> antecedent *)
+  reasons : int array; (* var -> antecedent clause index, or [no_reason] *)
   tainted : bool array;
       (* var -> the root-level assignment of this variable depends on a
          guiding-path assumption (so it is NOT implied by the global
@@ -83,15 +85,30 @@ type t = {
          learned clauses, which keeps every clause in the database — and
          hence every shared clause — valid for the global problem. *)
   score : float array; (* literal -> VSIDS counter *)
-  watches : watcher Vec.t array; (* literal -> clauses watching that literal *)
+  (* The clause store: a clause is an index into these arrays.  lits.(0)
+     and lits.(1) are the watched literals; a free slot holds [||]. *)
+  mutable cl_lits : T.lit array array;
+  mutable cl_act : float array;
+  mutable cl_learned : Bytes.t; (* nonzero for a learned (or foreign) clause *)
+  mutable cl_slots : int; (* slots ever handed out *)
+  free : int Vec.t; (* released slots, reused newest first *)
+  (* Watch lists: literal -> flat (clause index, blocker) pairs, the first
+     [wsize.(l)] ints of [watches.(l)].  The blocker is some other literal
+     of the clause, usually the other watch; if it is true the clause is
+     satisfied and need not be dereferenced at all. *)
+  watches : int array array;
+  wsize : int array;
   order : Heap.t;
-  trail : T.lit Vec.t;
+  trail : T.lit array; (* assigned literals in order; a variable occurs at most once *)
+  mutable trail_sz : int;
   trail_lim : int Vec.t; (* trail index where each decision level starts *)
   mutable qhead : int;
-  clauses : clause Vec.t; (* original problem clauses *)
-  learnts : clause Vec.t;
+  clauses : int Vec.t; (* original problem clauses *)
+  learnts : int Vec.t;
   mutable ok : bool;
   seen : bool array;
+  learnt_buf : T.lit Vec.t; (* [analyze] scratch: the clause being learned *)
+  to_clear : int Vec.t; (* [analyze] scratch: variables marked [seen] *)
   phase : bool array; (* var -> last assigned polarity (for phase saving) *)
   mutable var_inc : float;
   mutable cla_inc : float;
@@ -136,31 +153,35 @@ let set_obs_parent t sid = t.obs_parent <- sid
 (* Accounting: 48 bytes of per-clause overhead + 8 per literal slot. *)
 let db_bytes t = (48 * t.n_active_clauses) + (8 * t.db_lits)
 
-let value_of_var t v = t.assigns.(v)
+let decode b = if b = v_true then T.True else if b = v_false then T.False else T.Unknown
 
-let value_of_lit t l = T.lit_value t.assigns.(T.var l) l
+let value_of_lit t l = decode (Bytes.get t.vals l)
 
-(* Hot-path truth tests: pattern matches compile to constant-tag checks,
-   unlike [=] which would call the polymorphic comparison. *)
-let lit_true t l = match value_of_lit t l with T.True -> true | T.False | T.Unknown -> false
+let value_of_var t v = value_of_lit t (pos v)
 
-let lit_false t l = match value_of_lit t l with T.False -> true | T.True | T.Unknown -> false
+let lit_true t l = Bytes.get t.vals l = v_true
 
-let lit_unknown t l = match value_of_lit t l with T.Unknown -> true | T.True | T.False -> false
+let lit_false t l = Bytes.get t.vals l = v_false
 
-let var_unknown t v = match t.assigns.(v) with T.Unknown -> true | T.True | T.False -> false
+let lit_unknown t l = Bytes.get t.vals l = v_unknown
+
+let var_unknown t v = lit_unknown t (pos v)
 
 let level_of_var t v =
-  match t.assigns.(v) with
-  | T.Unknown -> invalid_arg "Solver.level_of_var: unassigned variable"
-  | T.True | T.False -> t.levels.(v)
+  if var_unknown t v then invalid_arg "Solver.level_of_var: unassigned variable"
+  else t.levels.(v)
+
+let live t ci = Array.length t.cl_lits.(ci) > 0
 
 let antecedent_of_var t v =
-  match t.reasons.(v) with
-  | Some c when not c.deleted -> Some (Array.copy c.lits)
-  | Some _ | None -> None
+  let r = t.reasons.(v) in
+  if r <> no_reason && live t r then Some (Array.copy t.cl_lits.(r)) else None
 
-let trail_literals t = Vec.to_list t.trail
+let trail_prefix t stop =
+  let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.trail.(i) :: acc) in
+  loop (stop - 1) []
+
+let trail_literals t = trail_prefix t t.trail_sz
 
 let last_learned t = t.last_learned
 
@@ -169,17 +190,22 @@ let log_proof t step = if t.cfg.emit_proof then t.proof_rev <- step :: t.proof_r
 let proof t = List.rev t.proof_rev
 
 let root_lits t =
-  let stop = if Vec.is_empty t.trail_lim then Vec.size t.trail else Vec.get t.trail_lim 0 in
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (Vec.get t.trail i :: acc) in
-  loop (stop - 1) []
+  trail_prefix t (if Vec.is_empty t.trail_lim then t.trail_sz else Vec.get t.trail_lim 0)
 
-let root_facts t = List.filter (fun l -> not t.tainted.(T.var l)) (root_lits t)
+let root_facts t = List.filter (fun l -> not t.tainted.(var l)) (root_lits t)
 
-let root_path t = List.filter (fun l -> t.tainted.(T.var l)) (root_lits t)
+let root_path t = List.filter (fun l -> t.tainted.(var l)) (root_lits t)
 
 (* ---------- VSIDS ---------- *)
 
-let var_score score v = Float.max score.(T.pos v) score.(T.neg v)
+(* Heap order: a variable ranks by the higher of its two literal scores.
+   Plain [>=]/[>] tests, not [Float.max], which is neither inlined nor
+   unboxed here; scores are finite and non-negative, so the order is the
+   same. *)
+let score_gt (score : float array) a b =
+  let pa = score.(2 * a) and na = score.((2 * a) + 1) in
+  let pb = score.(2 * b) and nb = score.((2 * b) + 1) in
+  if pa >= na then pa > pb && pa > nb else na > pb && na > nb
 
 let rescale_scores t =
   for l = 0 to Array.length t.score - 1 do
@@ -191,15 +217,20 @@ let rescale_scores t =
 let bump_lit t l =
   t.score.(l) <- t.score.(l) +. t.var_inc;
   if t.score.(l) > 1e100 then rescale_scores t;
-  Heap.update t.order (T.var l)
+  Heap.update t.order (var l)
+
+let bump_lits t lits =
+  for k = 0 to Array.length lits - 1 do
+    bump_lit t lits.(k)
+  done
 
 let decay_scores t = t.var_inc <- t.var_inc /. t.cfg.decay_factor
 
-let bump_clause_activity t (c : clause) =
-  if c.learned then begin
-    c.activity <- c.activity +. t.cla_inc;
-    if c.activity > 1e100 then begin
-      Vec.iter (fun cl -> cl.activity <- cl.activity *. 1e-100) t.learnts;
+let bump_clause_activity t ci =
+  if Bytes.get t.cl_learned ci <> '\000' then begin
+    t.cl_act.(ci) <- t.cl_act.(ci) +. t.cla_inc;
+    if t.cl_act.(ci) > 1e100 then begin
+      Vec.iter (fun cl -> t.cl_act.(cl) <- t.cl_act.(cl) *. 1e-100) t.learnts;
       t.cla_inc <- t.cla_inc *. 1e-100
     end
   end
@@ -210,15 +241,15 @@ let bump_clause_activity t (c : clause) =
    antecedent clause; with an antecedent the taint is inherited from the
    clause's other literals. *)
 let enqueue ?(taint = false) t l reason =
-  let v = T.var l in
-  t.assigns.(v) <- (if T.is_pos l then T.True else T.False);
+  let v = var l in
+  Bytes.set t.vals l v_true;
+  Bytes.set t.vals (negate l) v_false;
   t.levels.(v) <- decision_level t;
   t.reasons.(v) <- reason;
   if decision_level t = 0 then begin
     t.tainted.(v) <-
-      (match reason with
-      | Some c -> Array.exists (fun q -> T.var q <> v && t.tainted.(T.var q)) c.lits
-      | None -> taint);
+      (if reason = no_reason then taint
+       else Array.exists (fun q -> var q <> v && t.tainted.(var q)) t.cl_lits.(reason));
     (* Root assignments are permanent, but their antecedents are not:
        [simplify_db] forgets them and [reduce_db] may then delete the
        clause, after which a proof checker's unit propagation could no
@@ -230,85 +261,119 @@ let enqueue ?(taint = false) t l reason =
     if t.cfg.emit_proof then log_proof t (Drup.Add [| l |])
   end
   else t.tainted.(v) <- false;
-  Vec.push t.trail l
+  t.trail.(t.trail_sz) <- l;
+  t.trail_sz <- t.trail_sz + 1
 
 let backtrack t level =
   if decision_level t > level then begin
     let keep = Vec.get t.trail_lim level in
-    for i = Vec.size t.trail - 1 downto keep do
-      let v = T.var (Vec.get t.trail i) in
-      (match t.assigns.(v) with
-      | T.True -> t.phase.(v) <- true
-      | T.False -> t.phase.(v) <- false
-      | T.Unknown -> ());
-      t.assigns.(v) <- T.Unknown;
-      t.reasons.(v) <- None;
+    for i = t.trail_sz - 1 downto keep do
+      let l = t.trail.(i) in
+      let v = var l in
+      t.phase.(v) <- T.is_pos l;
+      Bytes.set t.vals l v_unknown;
+      Bytes.set t.vals (negate l) v_unknown;
+      t.reasons.(v) <- no_reason;
       Heap.insert t.order v
     done;
-    Vec.shrink t.trail keep;
+    t.trail_sz <- keep;
     Vec.shrink t.trail_lim level;
     t.qhead <- keep
   end
+
+(* ---------- watch lists ---------- *)
+
+let watch t l ci blocker =
+  let ws = t.watches.(l) and n = t.wsize.(l) in
+  let ws =
+    if n < Array.length ws then ws
+    else begin
+      let bigger = Array.make (max 8 (2 * n)) 0 in
+      Array.blit ws 0 bigger 0 n;
+      t.watches.(l) <- bigger;
+      bigger
+    end
+  in
+  ws.(n) <- ci;
+  ws.(n + 1) <- blocker;
+  t.wsize.(l) <- n + 2
+
+(* Order-preserving removal of the watch entries of released clauses: the
+   live entries keep their relative order, exactly as if [propagate] had
+   skipped the dead ones lazily. *)
+let purge_watches t =
+  for l = 0 to Array.length t.watches - 1 do
+    let ws = t.watches.(l) and n = t.wsize.(l) in
+    let j = ref 0 in
+    for i = 0 to (n / 2) - 1 do
+      let ci = ws.(2 * i) in
+      if live t ci then begin
+        ws.(!j) <- ci;
+        ws.(!j + 1) <- ws.((2 * i) + 1);
+        j := !j + 2
+      end
+    done;
+    t.wsize.(l) <- !j
+  done
 
 (* ---------- propagation ---------- *)
 
 let propagate t =
   let start = Obs.Clock.now () in
-  let confl = ref None in
-  let conflicted = ref false in
-  while (not !conflicted) && t.qhead < Vec.size t.trail do
-    let p = Vec.get t.trail t.qhead in
+  let vals = t.vals and cl_lits = t.cl_lits in
+  let confl = ref no_reason in
+  while !confl = no_reason && t.qhead < t.trail_sz do
+    let p = t.trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
     t.stats.propagations <- t.stats.propagations + 1;
-    let false_lit = T.negate p in
+    let false_lit = negate p in
+    (* [watch] below never targets [false_lit]'s own list, so [ws] stays put *)
     let ws = t.watches.(false_lit) in
-    let n = Vec.size ws in
+    let n = t.wsize.(false_lit) in
     let j = ref 0 in
     let i = ref 0 in
     while !i < n do
-      let w = Vec.get ws !i in
-      incr i;
-      let c = w.c in
-      if c.deleted then () (* lazily dropped from the watch list *)
-      else if !conflicted || lit_true t w.blocker then begin
-        Vec.set ws !j w;
-        incr j
+      let ci = ws.(!i) and blocker = ws.(!i + 1) in
+      i := !i + 2;
+      if !confl <> no_reason || Bytes.get vals blocker = v_true then begin
+        ws.(!j) <- ci;
+        ws.(!j + 1) <- blocker;
+        j := !j + 2
       end
       else begin
-        if c.lits.(0) = false_lit then begin
-          c.lits.(0) <- c.lits.(1);
-          c.lits.(1) <- false_lit
+        let lits = cl_lits.(ci) in
+        if lits.(0) = false_lit then begin
+          lits.(0) <- lits.(1);
+          lits.(1) <- false_lit
         end;
-        let first = c.lits.(0) in
-        if lit_true t first then begin
-          Vec.set ws !j { c; blocker = first };
-          incr j
+        let first = lits.(0) in
+        if Bytes.get vals first = v_true then begin
+          ws.(!j) <- ci;
+          ws.(!j + 1) <- first;
+          j := !j + 2
         end
         else begin
-          let len = Array.length c.lits in
+          let len = Array.length lits in
           let k = ref 2 in
-          while !k < len && lit_false t c.lits.(!k) do
+          while !k < len && Bytes.get vals lits.(!k) = v_false do
             incr k
           done;
           if !k < len then begin
             (* found a replacement watch; move the clause to its list *)
-            c.lits.(1) <- c.lits.(!k);
-            c.lits.(!k) <- false_lit;
-            Vec.push t.watches.(c.lits.(1)) { c; blocker = first }
+            lits.(1) <- lits.(!k);
+            lits.(!k) <- false_lit;
+            watch t lits.(1) ci first
           end
           else begin
-            Vec.set ws !j w;
-            incr j;
-            if lit_false t first then begin
-              confl := Some c;
-              conflicted := true
-            end
-            else enqueue t first (Some c)
+            ws.(!j) <- ci;
+            ws.(!j + 1) <- blocker;
+            j := !j + 2;
+            if Bytes.get vals first = v_false then confl := ci else enqueue t first ci
           end
         end
       end
     done;
-    Vec.shrink ws !j
+    t.wsize.(false_lit) <- !j
   done;
   let dt = Obs.Clock.now () -. start in
   t.stats.bcp_seconds <- t.stats.bcp_seconds +. dt;
@@ -318,22 +383,24 @@ let propagate t =
 (* ---------- conflict analysis (FirstUIP) ---------- *)
 
 let analyze t confl =
-  let learnt = Vec.create 0 in
+  let learnt = t.learnt_buf and to_clear = t.to_clear in
+  Vec.clear learnt;
+  Vec.clear to_clear;
   Vec.push learnt 0 (* placeholder for the asserting literal *);
-  let to_clear = Vec.create 0 in
   let counter = ref 0 in
   let p = ref (-1) in
   let reason_clause = ref confl in
-  let index = ref (Vec.size t.trail - 1) in
+  let index = ref (t.trail_sz - 1) in
   let dlevel = decision_level t in
   let finished = ref false in
   while not !finished do
-    let c = !reason_clause in
-    bump_clause_activity t c;
+    let ci = !reason_clause in
+    bump_clause_activity t ci;
+    let lits = t.cl_lits.(ci) in
     let start = if !p = -1 then 0 else 1 in
-    for k = start to Array.length c.lits - 1 do
-      let q = c.lits.(k) in
-      let v = T.var q in
+    for k = start to Array.length lits - 1 do
+      let q = lits.(k) in
+      let v = var q in
       if not t.seen.(v) then begin
         if t.levels.(v) > 0 then begin
           t.seen.(v) <- true;
@@ -349,21 +416,21 @@ let analyze t confl =
         end
       end
     done;
-    while not t.seen.(T.var (Vec.get t.trail !index)) do
+    while not t.seen.(var t.trail.(!index)) do
       decr index
     done;
-    p := Vec.get t.trail !index;
+    p := t.trail.(!index);
     decr index;
-    t.seen.(T.var !p) <- false;
+    t.seen.(var !p) <- false;
     decr counter;
     if !counter = 0 then finished := true
-    else
-      reason_clause :=
-        (match t.reasons.(T.var !p) with
-        | Some c -> c
-        | None -> assert false (* only the UIP can lack an antecedent *))
+    else begin
+      (* only the UIP can lack an antecedent *)
+      assert (t.reasons.(var !p) <> no_reason);
+      reason_clause := t.reasons.(var !p)
+    end
   done;
-  Vec.set learnt 0 (T.negate !p);
+  Vec.set learnt 0 (negate !p);
   (* Optional local clause minimization (an extension beyond zChaff-2001):
      a non-asserting literal is redundant if every literal of its
      antecedent is already in the learned clause (seen) or is an untainted
@@ -373,17 +440,14 @@ let analyze t confl =
     if not t.cfg.minimize_learned then Array.init (Vec.size learnt) (Vec.get learnt)
     else begin
       let redundant q =
-        let v = T.var q in
+        let v = var q in
         t.levels.(v) > 0
-        &&
-        match t.reasons.(v) with
-        | None -> false
-        | Some c ->
-            Array.for_all
-              (fun r ->
-                let rv = T.var r in
-                rv = v || t.seen.(rv) || (t.levels.(rv) = 0 && not t.tainted.(rv)))
-              c.lits
+        && t.reasons.(v) <> no_reason
+        && Array.for_all
+             (fun r ->
+               let rv = var r in
+               rv = v || t.seen.(rv) || (t.levels.(rv) = 0 && not t.tainted.(rv)))
+             t.cl_lits.(t.reasons.(v))
       in
       let kept = ref [ Vec.get learnt 0 ] in
       for k = Vec.size learnt - 1 downto 1 do
@@ -399,7 +463,7 @@ let analyze t confl =
   let blevel = ref 0 in
   let pos = ref 1 in
   for k = 1 to Array.length lits - 1 do
-    let lv = t.levels.(T.var lits.(k)) in
+    let lv = t.levels.(var lits.(k)) in
     if lv > !blevel then begin
       blevel := lv;
       pos := k
@@ -412,21 +476,64 @@ let analyze t confl =
   end;
   (lits, !blevel)
 
-(* ---------- clause construction ---------- *)
+(* ---------- clause store ---------- *)
 
-let attach_clause t c =
-  Vec.push t.watches.(c.lits.(0)) { c; blocker = c.lits.(1) };
-  Vec.push t.watches.(c.lits.(1)) { c; blocker = c.lits.(0) };
+let grow_store t =
+  let cap = max 16 (2 * Array.length t.cl_lits) in
+  let lits = Array.make cap [||] and act = Array.make cap 0. and learned = Bytes.make cap '\000' in
+  Array.blit t.cl_lits 0 lits 0 t.cl_slots;
+  Array.blit t.cl_act 0 act 0 t.cl_slots;
+  Bytes.blit t.cl_learned 0 learned 0 t.cl_slots;
+  t.cl_lits <- lits;
+  t.cl_act <- act;
+  t.cl_learned <- learned
+
+(* Store and watch a clause of at least two literals.  Reusing a released
+   slot is safe: every path that releases one ([reduce_db], [simplify_db])
+   purges or rebuilds the watch lists before it returns, and no antecedent
+   refers to a released clause. *)
+let add_clause t ~learned ~activity lits =
+  let ci =
+    if not (Vec.is_empty t.free) then Vec.pop t.free
+    else begin
+      if t.cl_slots = Array.length t.cl_lits then grow_store t;
+      t.cl_slots <- t.cl_slots + 1;
+      t.cl_slots - 1
+    end
+  in
+  t.cl_lits.(ci) <- lits;
+  t.cl_act.(ci) <- activity;
+  Bytes.set t.cl_learned ci (if learned then '\001' else '\000');
+  watch t lits.(0) ci lits.(1);
+  watch t lits.(1) ci lits.(0);
   t.n_active_clauses <- t.n_active_clauses + 1;
-  t.db_lits <- t.db_lits + Array.length c.lits
+  t.db_lits <- t.db_lits + Array.length lits;
+  if learned then Vec.push t.learnts ci else Vec.push t.clauses ci;
+  ci
 
-let delete_clause t c =
-  if not c.deleted then begin
-    log_proof t (Drup.Delete (Array.copy c.lits));
-    c.deleted <- true;
+(* Release a clause's slot.  Its watch entries stay until the caller
+   purges or rebuilds the watch lists. *)
+let delete_clause t ci =
+  let lits = t.cl_lits.(ci) in
+  if Array.length lits > 0 then begin
+    if t.cfg.emit_proof then log_proof t (Drup.Delete lits);
+    t.cl_lits.(ci) <- [||];
+    Vec.push t.free ci;
     t.n_active_clauses <- t.n_active_clauses - 1;
-    t.db_lits <- t.db_lits - Array.length c.lits
+    t.db_lits <- t.db_lits - Array.length lits
   end
+
+(* Drop released clauses from a clause-index vector, keeping the order. *)
+let compact_clause_vec t vec =
+  let j = ref 0 in
+  for i = 0 to Vec.size vec - 1 do
+    let ci = Vec.get vec i in
+    if live t ci then begin
+      Vec.set vec !j ci;
+      incr j
+    end
+  done;
+  Vec.shrink vec !j
 
 let record_share t lits =
   if Array.length lits <= t.cfg.share_export_max then begin
@@ -437,73 +544,99 @@ let record_share t lits =
 (* Record a learned clause (already backjumped to its assertion level) and
    enqueue its asserting literal. *)
 let record_learned t lits =
-  log_proof t (Drup.Add (Array.copy lits));
+  if t.cfg.emit_proof then log_proof t (Drup.Add (Array.copy lits));
   t.stats.learned <- t.stats.learned + 1;
   if t.obs_on then Obs.Metrics.incr t.c_learned;
   t.stats.learned_literals <- t.stats.learned_literals + Array.length lits;
   record_share t lits;
-  Array.iter (bump_lit t) lits;
-  if Array.length lits = 1 then enqueue t lits.(0) None
-  else begin
-    let c = { lits; learned = true; activity = t.cla_inc; deleted = false } in
-    attach_clause t c;
-    Vec.push t.learnts c;
-    enqueue t lits.(0) (Some c)
-  end;
+  bump_lits t lits;
+  if Array.length lits = 1 then enqueue t lits.(0) no_reason
+  else enqueue t lits.(0) (add_clause t ~learned:true ~activity:t.cla_inc lits);
   t.last_learned <- Some (Array.copy lits, decision_level t)
 
-(* Add an original (or foreign) clause while at decision level 0, after
-   simplifying it against the root assignment.  Returns false if the clause
-   is already satisfied at the root (and was therefore discarded). *)
+(* ---------- root-level strengthening ---------- *)
+
 (* A false root literal may only be stripped when it is untainted (its
    negation is implied by the global formula); tainted literals stay so the
    clause remains globally valid. *)
-let strippable t l = lit_false t l && not t.tainted.(T.var l)
+let strippable t l = lit_false t l && not t.tainted.(var l)
+
+let rec exists_from p t lits k =
+  k < Array.length lits && (p t lits.(k) || exists_from p t lits (k + 1))
+
+let exists_lit p t lits = exists_from p t lits 0
+
+(* The literals of a clause with no true literal that survive stripping:
+   the unknown ones, then the (tainted) false ones, each group in clause
+   order. *)
+let root_survivors t lits =
+  let n = Array.length lits in
+  let kept = ref 0 and unknowns = ref 0 in
+  for k = 0 to n - 1 do
+    if lit_unknown t lits.(k) then incr unknowns;
+    if not (strippable t lits.(k)) then incr kept
+  done;
+  let out = Array.make !kept 0 in
+  let u = ref 0 and f = ref !unknowns in
+  for k = 0 to n - 1 do
+    let l = lits.(k) in
+    if lit_unknown t l then begin
+      out.(!u) <- l;
+      incr u
+    end
+    else if not (strippable t l) then begin
+      out.(!f) <- l;
+      incr f
+    end
+  done;
+  out
+
+(* How many leading literals of a survivor array are unknown, capped at 2:
+   none is a root conflict, one a root implication (tainted exactly when a
+   false literal survived next to it). *)
+let leading_unknowns t lits =
+  let n = Array.length lits in
+  if n = 0 || not (lit_unknown t lits.(0)) then 0
+  else if n = 1 || not (lit_unknown t lits.(1)) then 1
+  else 2
 
 (* Install a clause while at decision level 0: discard if satisfied, strip
    untainted false literals, then either record the conflict, enqueue the
    root implication (taint inherited from the surviving false literals), or
-   store the clause with its unknown literals in the watched slots. *)
+   store the clause with its unknown literals in the watched slots.  [lits]
+   itself is never modified. *)
 let install_clause_root t ~learned ~activity lits =
   assert (decision_level t = 0);
-  if Array.exists (fun l -> lit_true t l) lits then `Satisfied
+  if exists_lit lit_true t lits then `Satisfied
   else begin
-    let kept = List.filter (fun l -> not (strippable t l)) (Array.to_list lits) in
-    let unknowns, falses = List.partition (fun l -> lit_unknown t l) kept in
-    match unknowns with
-    | [] ->
+    let arr = root_survivors t lits in
+    match leading_unknowns t arr with
+    | 0 ->
         log_proof t (Drup.Add [||]);
         t.ok <- false;
         `Conflict
-    | [ l ] ->
-        let taint = List.exists (fun q -> t.tainted.(T.var q)) falses in
-        log_proof t (Drup.Add [| l |]);
-        enqueue ~taint t l None;
+    | 1 ->
+        log_proof t (Drup.Add [| arr.(0) |]);
+        enqueue ~taint:(Array.length arr > 1) t arr.(0) no_reason;
         `Implication
     | _ ->
-        let arr = Array.of_list (unknowns @ falses) in
         (* an original clause installed verbatim is already in the checker's
            database; logging it would only bloat transferred proof
            fragments.  A proof step is owed only when the stored clause
            differs from the formula: learned/foreign, or strengthened by
            root-level stripping. *)
-        if learned || List.length kept < Array.length lits then
+        if t.cfg.emit_proof && (learned || Array.length arr < Array.length lits) then
           log_proof t (Drup.Add (Array.copy arr));
-        let c = { lits = arr; learned; activity; deleted = false } in
-        attach_clause t c;
-        if learned then Vec.push t.learnts c else Vec.push t.clauses c;
-        Array.iter (bump_lit t) arr;
+        ignore (add_clause t ~learned ~activity arr);
+        bump_lits t arr;
         `Added
   end
 
 (* ---------- learned-DB reduction ---------- *)
 
-let clause_locked t c =
-  Array.length c.lits > 0
-  &&
-  let v = T.var c.lits.(0) in
-  (match t.reasons.(v) with Some r -> r == c | None -> false)
-  && not (var_unknown t v)
+let clause_locked t ci =
+  let v = var t.cl_lits.(ci).(0) in
+  t.reasons.(v) = ci && not (var_unknown t v)
 
 let reduce_db t =
   let sp =
@@ -513,90 +646,87 @@ let reduce_db t =
         "reduce_db"
     else Obs.Span.none
   in
-  let live = Vec.fold (fun acc c -> if c.deleted then acc else c :: acc) [] t.learnts in
-  let arr = Array.of_list live in
-  Array.sort (fun a b -> Float.compare a.activity b.activity) arr;
-  let target = Array.length arr / 2 in
+  (* [Array.sort] is not stable: activity ties break by this input order,
+     newest clause first *)
+  let n = Vec.size t.learnts in
+  let arr = Array.init n (fun k -> Vec.get t.learnts (n - 1 - k)) in
+  Array.sort (fun a b -> Float.compare t.cl_act.(a) t.cl_act.(b)) arr;
+  let target = n / 2 in
   let removed = ref 0 in
   Array.iter
-    (fun c ->
-      if !removed < target && (not (clause_locked t c)) && Array.length c.lits > 2 then begin
-        delete_clause t c;
+    (fun ci ->
+      if !removed < target && (not (clause_locked t ci)) && Array.length t.cl_lits.(ci) > 2 then begin
+        delete_clause t ci;
         incr removed
       end)
     arr;
   t.stats.deleted <- t.stats.deleted + !removed;
-  (* compact the learnts vector *)
-  let keep = List.rev (Vec.fold (fun acc c -> if c.deleted then acc else c :: acc) [] t.learnts) in
-  Vec.clear t.learnts;
-  List.iter (Vec.push t.learnts) keep;
+  compact_clause_vec t t.learnts;
+  purge_watches t;
   if t.obs_on then
     Obs.Span.exit (Obs.spans t.obs) sp ~args:[ ("deleted", Obs.Json.Int !removed) ]
 
 (* ---------- root-level simplification (the paper's pruning pass) ---------- *)
 
 let rebuild_watches t =
-  Array.iter Vec.clear t.watches;
-  let rewatch c =
-    if not c.deleted then begin
-      Vec.push t.watches.(c.lits.(0)) { c; blocker = c.lits.(1) };
-      Vec.push t.watches.(c.lits.(1)) { c; blocker = c.lits.(0) }
-    end
+  Array.fill t.wsize 0 (Array.length t.wsize) 0;
+  let rewatch ci =
+    let lits = t.cl_lits.(ci) in
+    watch t lits.(0) ci lits.(1);
+    watch t lits.(1) ci lits.(0)
   in
   Vec.iter rewatch t.clauses;
   Vec.iter rewatch t.learnts
 
-let simplify_clause_root t c =
-  if not c.deleted then begin
-    if Array.exists (fun l -> lit_true t l) c.lits then delete_clause t c
+let simplify_clause_root t ci =
+  let lits = t.cl_lits.(ci) in
+  if live t ci then begin
+    if exists_lit lit_true t lits then delete_clause t ci
     else begin
-      let kept = List.filter (fun l -> not (strippable t l)) (Array.to_list c.lits) in
-      let unknowns, falses = List.partition (fun l -> lit_unknown t l) kept in
-      match unknowns with
-      | [] ->
+      (* a clause with no false literal is left exactly as it is *)
+      let arr = if exists_lit lit_false t lits then root_survivors t lits else lits in
+      match leading_unknowns t arr with
+      | 0 ->
           log_proof t (Drup.Add [||]);
           t.ok <- false;
-          delete_clause t c
-      | [ l ] ->
-          let taint = List.exists (fun q -> t.tainted.(T.var q)) falses in
-          log_proof t (Drup.Add [| l |]);
-          enqueue ~taint t l None;
-          delete_clause t c
+          delete_clause t ci
+      | 1 ->
+          log_proof t (Drup.Add [| arr.(0) |]);
+          enqueue ~taint:(Array.length arr > 1) t arr.(0) no_reason;
+          delete_clause t ci
       | _ ->
-          let n = List.length kept in
-          if n < Array.length c.lits then begin
-            let strengthened = Array.of_list (unknowns @ falses) in
-            log_proof t (Drup.Add (Array.copy strengthened));
-            log_proof t (Drup.Delete (Array.copy c.lits));
-            t.db_lits <- t.db_lits - (Array.length c.lits - n);
-            c.lits <- strengthened
+          let n = Array.length arr in
+          if n < Array.length lits then begin
+            if t.cfg.emit_proof then begin
+              log_proof t (Drup.Add (Array.copy arr));
+              log_proof t (Drup.Delete lits)
+            end;
+            t.db_lits <- t.db_lits - (Array.length lits - n);
+            t.cl_lits.(ci) <- arr
           end
     end
   end
-
-let compact_clause_vec vec =
-  let keep = List.rev (Vec.fold (fun acc c -> if c.deleted then acc else c :: acc) [] vec) in
-  Vec.clear vec;
-  List.iter (Vec.push vec) keep
 
 let simplify_db t =
   assert (decision_level t = 0);
   let sp =
     if t.obs_on then
       Obs.Span.enter (Obs.spans t.obs) ~parent:t.obs_parent ~tid:t.obs_tid ~cat:"solver"
-        ~args:[ ("root_lits", Obs.Json.Int (Vec.size t.trail)) ]
+        ~args:[ ("root_lits", Obs.Json.Int t.trail_sz) ]
         "simplify_db"
     else Obs.Span.none
   in
   (* Root-assigned variables never participate in conflict analysis, so
      their antecedents may be forgotten before clauses are deleted. *)
-  Vec.iter (fun l -> t.reasons.(T.var l) <- None) t.trail;
+  for i = 0 to t.trail_sz - 1 do
+    t.reasons.(var t.trail.(i)) <- no_reason
+  done;
   Vec.iter (simplify_clause_root t) t.clauses;
   Vec.iter (simplify_clause_root t) t.learnts;
-  compact_clause_vec t.clauses;
-  compact_clause_vec t.learnts;
+  compact_clause_vec t t.clauses;
+  compact_clause_vec t t.learnts;
   rebuild_watches t;
-  t.last_simplify_trail <- Vec.size t.trail;
+  t.last_simplify_trail <- t.trail_sz;
   t.stats.root_simplifications <- t.stats.root_simplifications + 1;
   if t.obs_on then Obs.Span.exit (Obs.spans t.obs) sp
 
@@ -641,40 +771,38 @@ let drain_shares t ~max_len =
 
 (* ---------- decisions ---------- *)
 
-let random_unassigned t =
-  let rec attempt k =
-    if k = 0 then None
-    else
-      let v = 1 + Random.State.int t.rng t.nvars in
-      if var_unknown t v then Some v else attempt (k - 1)
-  in
-  attempt 8
+(* Decisions return variable 0, which no formula uses, for "none". *)
+let rec random_unassigned t attempts =
+  if attempts = 0 then 0
+  else
+    let v = 1 + Random.State.int t.rng t.nvars in
+    if var_unknown t v then v else random_unassigned t (attempts - 1)
+
+let rec heap_unassigned t =
+  if Heap.is_empty t.order then 0
+  else
+    let v = Heap.remove_max t.order in
+    if var_unknown t v then v else heap_unassigned t
 
 let pick_branch_var t =
-  let from_heap () =
-    let rec pop () =
-      if Heap.is_empty t.order then None
-      else
-        let v = Heap.remove_max t.order in
-        if var_unknown t v then Some v else pop ()
-    in
-    pop ()
+  let v =
+    if t.cfg.random_decision_freq > 0. && Random.State.float t.rng 1.0 < t.cfg.random_decision_freq
+    then random_unassigned t 8
+    else 0
   in
-  if t.cfg.random_decision_freq > 0. && Random.State.float t.rng 1.0 < t.cfg.random_decision_freq
-  then (match random_unassigned t with Some v -> Some v | None -> from_heap ())
-  else from_heap ()
+  if v = 0 then heap_unassigned t else v
 
 let decide t =
   match pick_branch_var t with
-  | None -> false
-  | Some v ->
+  | 0 -> false
+  | v ->
       let l =
         if t.cfg.phase_saving then if t.phase.(v) then T.pos v else T.neg v
         else if t.score.(T.pos v) >= t.score.(T.neg v) then T.pos v
         else T.neg v
       in
-      Vec.push t.trail_lim (Vec.size t.trail);
-      enqueue t l None;
+      Vec.push t.trail_lim t.trail_sz;
+      enqueue t l no_reason;
       t.stats.decisions <- t.stats.decisions + 1;
       if t.obs_on then Obs.Metrics.incr t.c_decisions;
       if decision_level t > t.stats.max_decision_level then
@@ -713,28 +841,40 @@ let restart t =
 let create_internal cfg cnf ~obs ~obs_tid ~facts ~assumptions =
   let nvars = Cnf.nvars cnf in
   let score = Array.make (2 * (nvars + 1)) 0. in
-  let order = Heap.create ~nvars ~gt:(fun a b -> var_score score a > var_score score b) in
+  (* a two-argument closure: a partial application of [score_gt] would
+     allocate on every comparison *)
+  let order = Heap.create ~nvars ~gt:(fun a b -> score_gt score a b) in
   let m = Obs.metrics obs in
   let labels = [ ("client", string_of_int obs_tid) ] in
+  let cap = max 16 (Cnf.nclauses cnf) in
   let t =
     {
       cfg;
       nvars;
       cnf;
-      assigns = Array.make (nvars + 1) T.Unknown;
+      vals = Bytes.make (2 * (nvars + 1)) v_unknown;
       tainted = Array.make (nvars + 1) false;
       levels = Array.make (nvars + 1) 0;
-      reasons = Array.make (nvars + 1) None;
+      reasons = Array.make (nvars + 1) no_reason;
       score;
-      watches = Array.init (2 * (nvars + 1)) (fun _ -> Vec.create ~capacity:4 dummy_watcher);
+      cl_lits = Array.make cap [||];
+      cl_act = Array.make cap 0.;
+      cl_learned = Bytes.make cap '\000';
+      cl_slots = 0;
+      free = Vec.create 0;
+      watches = Array.make (2 * (nvars + 1)) [||];
+      wsize = Array.make (2 * (nvars + 1)) 0;
       order;
-      trail = Vec.create 0;
+      trail = Array.make (nvars + 1) 0;
+      trail_sz = 0;
       trail_lim = Vec.create 0;
       qhead = 0;
-      clauses = Vec.create dummy_clause;
-      learnts = Vec.create dummy_clause;
+      clauses = Vec.create no_reason;
+      learnts = Vec.create no_reason;
       ok = not (Cnf.has_empty_clause cnf);
       seen = Array.make (nvars + 1) false;
+      learnt_buf = Vec.create 0;
+      to_clear = Vec.create 0;
       phase = Array.make (nvars + 1) false;
       var_inc = 1.0;
       cla_inc = 1.0;
@@ -765,19 +905,16 @@ let create_internal cfg cnf ~obs ~obs_tid ~facts ~assumptions =
     Heap.insert order v
   done;
   let assert_root taint l =
-    match value_of_lit t l with
-    | T.Unknown -> enqueue ~taint t l None
-    | T.True -> ()
-    | T.False -> t.ok <- false
+    if lit_unknown t l then enqueue ~taint t l no_reason
+    else if lit_false t l then t.ok <- false
   in
   List.iter (assert_root false) facts;
   List.iter (assert_root true) assumptions;
   if t.ok then
     Cnf.iter
-      (fun lits ->
-        if t.ok then ignore (install_clause_root t ~learned:false ~activity:0. (Array.copy lits)))
+      (fun lits -> if t.ok then ignore (install_clause_root t ~learned:false ~activity:0. lits))
       cnf;
-  if t.ok then (match propagate t with Some _ -> t.ok <- false | None -> ());
+  if t.ok && propagate t <> no_reason then t.ok <- false;
   t
 
 let create ?(config = default_config) ?(obs = Obs.disabled) ?(obs_tid = Obs.Span.run_tid) cnf =
@@ -789,21 +926,16 @@ let create_with_roots ?(config = default_config) ?(obs = Obs.disabled)
 
 (* ---------- model extraction ---------- *)
 
-let extract_model t =
-  let a = Array.make (t.nvars + 1) false in
-  for v = 1 to t.nvars do
-    a.(v) <- (match t.assigns.(v) with T.True -> true | T.False | T.Unknown -> false)
-  done;
-  Model.of_array a
+let extract_model t = Model.of_array (Array.init (t.nvars + 1) (fun v -> v > 0 && lit_true t (pos v)))
 
 (* ---------- conflict-info capture ---------- *)
 
 let capture_graph t =
   List.map
     (fun l ->
-      let v = T.var l in
+      let v = var l in
       (v, t.levels.(v), antecedent_of_var t v))
-    (Vec.to_list t.trail)
+    (trail_literals t)
 
 (* ---------- main search ---------- *)
 
@@ -840,31 +972,30 @@ let run t ~budget =
     else begin
       if decision_level t = 0 then begin
         merge_foreign t;
-        if t.ok && Vec.size t.trail > t.last_simplify_trail && t.qhead = Vec.size t.trail then
-          simplify_db t
+        if t.ok && t.trail_sz > t.last_simplify_trail && t.qhead = t.trail_sz then simplify_db t
       end;
       if not t.ok then result := Some Unsat
       else
-        match propagate t with
-        | Some confl -> (
-            match handle_conflict t confl with
-            | None -> result := Some Unsat
-            | Some _ ->
-                if t.cfg.reduce_db_enabled && Vec.size t.learnts > learned_cap t then reduce_db t;
-                if over_mem_limit t then begin
-                  if t.cfg.reduce_db_enabled then reduce_db t;
-                  if over_mem_limit t then result := Some Mem_pressure
-                end)
-        | None ->
-            if t.stats.propagations - start_props >= budget then result := Some Budget_exhausted
-            else if
-              t.cfg.restarts_enabled
-              && t.conflicts_since_restart >= t.restart_limit
-              && decision_level t > 0
-            then restart t
-            else if decision_level t = 0 && pending_foreign t > 0 then
-              () (* loop back to merge before deciding *)
-            else if not (decide t) then result := Some (Sat (extract_model t))
+        let confl = propagate t in
+        if confl <> no_reason then begin
+          match handle_conflict t confl with
+          | None -> result := Some Unsat
+          | Some _ ->
+              if t.cfg.reduce_db_enabled && Vec.size t.learnts > learned_cap t then reduce_db t;
+              if over_mem_limit t then begin
+                if t.cfg.reduce_db_enabled then reduce_db t;
+                if over_mem_limit t then result := Some Mem_pressure
+              end
+        end
+        else if t.stats.propagations - start_props >= budget then result := Some Budget_exhausted
+        else if
+          t.cfg.restarts_enabled
+          && t.conflicts_since_restart >= t.restart_limit
+          && decision_level t > 0
+        then restart t
+        else if decision_level t = 0 && pending_foreign t > 0 then
+          () (* loop back to merge before deciding *)
+        else if not (decide t) then result := Some (Sat (extract_model t))
     end
   done;
   t.stats.total_seconds <- t.stats.total_seconds +. (Obs.Clock.now () -. start);
@@ -878,16 +1009,14 @@ let split t =
   if decision_level t = 0 then None
   else begin
     let level1_start = Vec.get t.trail_lim 0 in
-    let level1_end =
-      if Vec.size t.trail_lim > 1 then Vec.get t.trail_lim 1 else Vec.size t.trail
-    in
-    let first_decision = Vec.get t.trail level1_start in
+    let level1_end = if Vec.size t.trail_lim > 1 then Vec.get t.trail_lim 1 else t.trail_sz in
+    let first_decision = t.trail.(level1_start) in
     let roots_before = root_lits t in
-    let facts = List.filter (fun l -> not t.tainted.(T.var l)) roots_before in
-    let path = List.filter (fun l -> t.tainted.(T.var l)) roots_before in
+    let facts = List.filter (fun l -> not t.tainted.(var l)) roots_before in
+    let path = List.filter (fun l -> t.tainted.(var l)) roots_before in
     let level1 = ref [] in
     for i = level1_end - 1 downto level1_start do
-      level1 := Vec.get t.trail i :: !level1
+      level1 := t.trail.(i) :: !level1
     done;
     backtrack t 0;
     (* commit this side of the branch: the whole first decision level moves
@@ -896,32 +1025,28 @@ let split t =
        original antecedents are forgotten) *)
     List.iter
       (fun l ->
-        match value_of_lit t l with
-        | T.Unknown -> enqueue ~taint:true t l None
-        | T.True -> ()
-        | T.False -> t.ok <- false)
+        if lit_unknown t l then enqueue ~taint:true t l no_reason
+        else if lit_false t l then t.ok <- false)
       !level1;
-    Some (facts, path @ [ T.negate first_decision ])
+    Some (facts, path @ [ negate first_decision ])
   end
 
 (* ---------- transfer helpers ---------- *)
 
-let visible_clause t c =
-  if c.deleted then None
-  else if Array.exists (fun l -> lit_true t l && t.levels.(T.var l) = 0) c.lits
-  then None
+let visible_clause t lits =
+  if Array.exists (fun l -> lit_true t l && t.levels.(var l) = 0) lits then None
   else
     Some
       (Array.of_list
          (List.filter
-            (fun l ->
-              not (lit_false t l && t.levels.(T.var l) = 0 && not t.tainted.(T.var l)))
-            (Array.to_list c.lits)))
+            (fun l -> not (lit_false t l && t.levels.(var l) = 0 && not t.tainted.(var l)))
+            (Array.to_list lits)))
 
 let active_clauses t =
   let collect acc vec =
     Vec.fold
-      (fun acc c -> match visible_clause t c with Some lits -> lits :: acc | None -> acc)
+      (fun acc ci ->
+        match visible_clause t t.cl_lits.(ci) with Some lits -> lits :: acc | None -> acc)
       acc vec
   in
   List.rev (collect (collect [] t.clauses) t.learnts)
@@ -933,44 +1058,44 @@ let transfer_bytes t =
 (* ---------- manual driving (Figure 1 replay) ---------- *)
 
 let decide_manual t l =
-  if t.qhead <> Vec.size t.trail then
-    invalid_arg "Solver.decide_manual: propagation pending";
+  if t.qhead <> t.trail_sz then invalid_arg "Solver.decide_manual: propagation pending";
   if not (lit_unknown t l) then invalid_arg "Solver.decide_manual: variable assigned";
-  Vec.push t.trail_lim (Vec.size t.trail);
-  enqueue t l None;
+  Vec.push t.trail_lim t.trail_sz;
+  enqueue t l no_reason;
   t.stats.decisions <- t.stats.decisions + 1
 
 let propagate_manual t =
-  match propagate t with
-  | None -> `Ok
-  | Some confl ->
-      let conflicting_clause = Array.copy confl.lits in
-      let conflicting_var = T.var confl.lits.(0) in
-      let implication_graph = capture_graph t in
-      if decision_level t = 0 then begin
-        t.ok <- false;
-        `Conflict
-          {
-            conflicting_clause;
-            conflicting_var;
-            implication_graph;
-            learned = [||];
-            uip_var = 0;
-            backjump_level = 0;
-          }
-      end
-      else begin
-        t.stats.conflicts <- t.stats.conflicts + 1;
-        let lits, blevel = analyze t confl in
-        backtrack t blevel;
-        record_learned t lits;
-        `Conflict
-          {
-            conflicting_clause;
-            conflicting_var;
-            implication_graph;
-            learned = Array.copy lits;
-            uip_var = T.var lits.(0);
-            backjump_level = blevel;
-          }
-      end
+  let confl = propagate t in
+  if confl = no_reason then `Ok
+  else begin
+    let conflicting_clause = Array.copy t.cl_lits.(confl) in
+    let conflicting_var = var conflicting_clause.(0) in
+    let implication_graph = capture_graph t in
+    if decision_level t = 0 then begin
+      t.ok <- false;
+      `Conflict
+        {
+          conflicting_clause;
+          conflicting_var;
+          implication_graph;
+          learned = [||];
+          uip_var = 0;
+          backjump_level = 0;
+        }
+    end
+    else begin
+      t.stats.conflicts <- t.stats.conflicts + 1;
+      let lits, blevel = analyze t confl in
+      backtrack t blevel;
+      record_learned t lits;
+      `Conflict
+        {
+          conflicting_clause;
+          conflicting_var;
+          implication_graph;
+          learned = Array.copy lits;
+          uip_var = var lits.(0);
+          backjump_level = blevel;
+        }
+    end
+  end

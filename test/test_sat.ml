@@ -888,6 +888,97 @@ let prop_drup_random_unsat_proofs_check =
       | None -> false
       | Some proof -> Drup.check cnf proof = Ok ())
 
+(* ---------- search pinning and clause reclaim ---------- *)
+
+(* Search counts recorded before the BCP data layout was rewritten (flat
+   watch lists, value bytes, int antecedents, slot reclaim).  The layout
+   must not change the search: same watch order, same literal swaps. *)
+let test_search_golden () =
+  let pinned name config cnf expected =
+    let s = Solver.create ~config cnf in
+    check bool (name ^ " unsat") true (is_unsat (Solver.solve s));
+    let st = Solver.stats s in
+    Alcotest.(check (list int))
+      (name ^ ": propagations, decisions, conflicts, learned, deleted")
+      expected
+      Sat.Stats.[ st.propagations; st.decisions; st.conflicts; st.learned; st.deleted ]
+  in
+  let php_10_9 = Workloads.Php.instance ~pigeons:10 ~holes:9 in
+  pinned "php-10-9" Solver.default_config php_10_9 [ 204214; 12380; 11744; 11743; 8671 ];
+  pinned "random-unsat n=200" Solver.default_config
+    (Workloads.Random_sat.instance ~nvars:200 ~ratio:5.0 ~seed:1 ())
+    [ 263548; 10476; 7806; 7805; 0 ];
+  (* homer11 is php-10-9; the Baseline (zChaff 2001) config keeps every
+     learned clause *)
+  pinned "homer11 (Baseline config)"
+    { Solver.default_config with reduce_db_enabled = false }
+    php_10_9 [ 192064; 11117; 10636; 10635; 0 ]
+
+(* x1 -> x2 -> ... -> xn as binary clauses: deciding x1 implies the rest. *)
+let implication_chain n = Cnf.make ~nvars:n (List.init (n - 1) (fun i -> [ -(i + 1); i + 2 ]))
+
+let test_propagate_allocation_free () =
+  let words n =
+    let s = Solver.create (implication_chain n) in
+    Solver.decide_manual s (T.pos 1);
+    let w0 = Gc.minor_words () in
+    let r = Solver.propagate_manual s in
+    let w = Gc.minor_words () -. w0 in
+    (match r with `Ok -> () | `Conflict _ -> Alcotest.fail "chain conflicted");
+    check int "whole chain implied" n (List.length (Solver.trail_literals s));
+    w
+  in
+  let short = words 600 and long = words 6000 in
+  check bool
+    (Printf.sprintf "bounded words per propagate call (%.0f for 600, %.0f for 6000)" short long)
+    true
+    (short <= 16. && long <= 16.)
+
+(* Reduce the learned DB after every conflict. *)
+let reclaim_config =
+  { Solver.default_config with learned_cap_min = 0; learned_cap_factor = 0.; emit_proof = true }
+
+let test_reclaim_deletes_and_proves () =
+  let cnf = php ~pigeons:6 ~holes:5 in
+  let s = Solver.create ~config:reclaim_config cnf in
+  check bool "unsat" true (is_unsat (Solver.solve s));
+  check bool "clauses deleted" true ((Solver.stats s).Sat.Stats.deleted > 0);
+  check bool "proof checks" true (Drup.check cnf (Solver.proof s) = Ok ())
+
+(* Uniform 3-SAT near the threshold: enough conflicts, and learned clauses
+   longer than two literals, for [reduce_db] to delete some (about one
+   case in five). *)
+let reclaim_cnf_gen =
+  let open QCheck.Gen in
+  int_range 10 16 >>= fun nv ->
+  int_range (4 * nv) (5 * nv) >>= fun nc ->
+  let lit_gen = map2 (fun v s -> if s then v else -v) (int_range 1 nv) bool in
+  list_size (return nc) (list_size (return 3) lit_gen) >|= fun clauses ->
+  Cnf.make ~nvars:nv clauses
+
+let prop_reclaim_keeps_verdicts =
+  QCheck.Test.make ~name:"forced reduce_db: brute verdict, models, proofs" ~count:200
+    (QCheck.make ~print:(fun c -> Format.asprintf "%a" Cnf.pp c) reclaim_cnf_gen)
+    (fun cnf ->
+      let s = Solver.create ~config:reclaim_config cnf in
+      match (Solver.solve s, Brute.solve cnf) with
+      | Solver.Sat m, Brute.Sat _ -> Model.satisfies cnf m
+      | Solver.Unsat, Brute.Unsat -> Drup.check cnf (Solver.proof s) = Ok ()
+      | _ -> false)
+
+let prop_tiny_mem_limit_sound =
+  QCheck.Test.make ~name:"tiny mem limit: Mem_pressure or the brute verdict" ~count:200
+    (QCheck.make
+       ~print:(fun (c, limit) -> Format.asprintf "limit %d@.%a" limit Cnf.pp c)
+       QCheck.Gen.(pair reclaim_cnf_gen (int_range 0 4096)))
+    (fun (cnf, limit) ->
+      let config = { Solver.default_config with mem_limit_bytes = limit } in
+      match (solve_cnf ~config cnf, Brute.solve cnf) with
+      | Solver.Mem_pressure, _ -> true
+      | Solver.Sat m, Brute.Sat _ -> Model.satisfies cnf m
+      | Solver.Unsat, Brute.Unsat -> true
+      | _ -> false)
+
 (* ---------- suite ---------- *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -1011,6 +1102,13 @@ let () =
           Alcotest.test_case "check under assumptions" `Quick test_drup_check_under;
         ]
         @ qsuite [ prop_drup_random_unsat_proofs_check ] );
+      ( "search",
+        [
+          Alcotest.test_case "golden search counts" `Quick test_search_golden;
+          Alcotest.test_case "propagate allocation bound" `Quick test_propagate_allocation_free;
+          Alcotest.test_case "reclaim deletes and proves" `Quick test_reclaim_deletes_and_proves;
+        ]
+        @ qsuite [ prop_reclaim_keeps_verdicts; prop_tiny_mem_limit_sound ] );
       ( "transfer",
         [
           Alcotest.test_case "active clauses pruned" `Quick test_active_clauses_pruned;
