@@ -189,7 +189,147 @@ let print_health_table hm =
 
 module Cfg = Gridsat_core.Config
 
-let ship_modes = [ ("async", false); ("sync", true) ]
+(* The flags [solve -m grid] and [serve] share, declared once; defaults
+   that have a [Config] field come from [Config.default]. *)
+type run_flags = {
+  testbed : string;
+  hosts : int;
+  seed : int;
+  chaos : bool;
+  corrupt_p : float;
+  hedge : bool;
+  standby : bool;
+  ship_sync : bool;
+  flaky : bool;
+  share_budget : int;
+  journal_quota : int;
+  outbox_cap : int;
+  choke : int;
+}
+
+let run_flags =
+  let d = Cfg.default in
+  let testbed =
+    Arg.(value & opt string "uniform" & info [ "t"; "testbed" ] ~doc:"uniform, grads or set2")
+  in
+  let hosts =
+    Arg.(
+      value & opt int 8
+      & info [ "hosts" ]
+          ~doc:
+            "hosts for the uniform testbed: the run's hosts under $(b,solve -m grid), the shared \
+             pool under $(b,serve)")
+  in
+  let seed =
+    Arg.(
+      value & opt int d.Cfg.seed
+      & info [ "seed" ]
+          ~doc:
+            "seed of the run and its fault plan under $(b,solve -m grid); of the service, its \
+             per-job fault plans and runs under $(b,serve)")
+  in
+  let chaos =
+    Arg.(
+      value & flag
+      & info [ "chaos" ]
+          ~doc:
+            "arm a fault plan and the recovery machinery it targets (light checkpoints, a tight \
+             heartbeat lease, eager splitting).  Under $(b,solve -m grid) the plan is canned: a \
+             host crash, a master outage, message loss and duplication.  Under $(b,serve) every \
+             job's run gets a seeded master crash-failover and a host crash")
+  in
+  let corrupt_p =
+    Arg.(
+      value & opt float 0.
+      & info [ "corrupt-p" ]
+          ~doc:
+            "fault injection: probability of corrupting each message payload in flight, in the \
+             run under $(b,solve -m grid) and in every job's run under $(b,serve)")
+  in
+  let hedge =
+    Arg.(
+      value & flag
+      & info [ "hedge" ]
+          ~doc:
+            "arm the straggler defense (in every job's run under $(b,serve)): health-aware \
+             ranking, adaptive lease/retry deadlines, and hedged re-execution (a subproblem \
+             running past the fleet p99 is cloned to an idle host; first result wins, the loser \
+             is cancelled and fenced)")
+  in
+  let standby =
+    Arg.(
+      value & flag
+      & info [ "standby" ]
+          ~doc:
+            "arm a hot-standby master (for every job's run under $(b,serve)): journal records \
+             ship to a shadow replica that continuously checks its replay digest against the \
+             primary's; if the primary falls silent past the standby lease, the replica bumps \
+             the master epoch and takes the run over without restarting the clients")
+  in
+  let ship_sync =
+    Arg.(
+      value
+      & opt (enum [ ("async", false); ("sync", true) ]) d.Cfg.ship_sync
+      & info [ "ship" ] ~docv:"MODE"
+          ~doc:
+            "journal shipping mode, which requires --standby: $(b,async) batches records on the \
+             ship interval (bounded replication lag), $(b,sync) ships every record as it is \
+             appended (zero lag, one extra message per append)")
+  in
+  let flaky =
+    Arg.(
+      value & flag
+      & info [ "flaky" ]
+          ~doc:
+            "make the seeded stragglers (--stragglers under $(b,solve -m grid), --slow-hosts \
+             under $(b,serve)) oscillate between full and degraded speed instead of a one-shot \
+             slowdown")
+  in
+  let share_budget =
+    Arg.(
+      value & opt int d.Cfg.share_budget
+      & info [ "share-budget" ]
+          ~doc:
+            "per-recipient-link clause-share byte budget per share window, in every run (0 = \
+             unconditional broadcast).  Shortest clauses are relayed first; whatever exceeds a \
+             link's window budget is shed and counted")
+  in
+  let journal_quota =
+    Arg.(
+      value & opt int d.Cfg.journal_quota
+      & info [ "journal-quota" ]
+          ~doc:
+            "disk quota in estimated bytes for each run's write-ahead journal, and under \
+             $(b,serve) for the service joblog too (0 = unlimited).  Crossing it forces an \
+             emergency compaction; if still over, the log enters degraded mode until occupancy \
+             drops.  Under $(b,serve) it also feeds the resource-pressure brownout dimension")
+  in
+  let outbox_cap =
+    Arg.(
+      value & opt int d.Cfg.outbox_cap
+      & info [ "outbox-cap" ]
+          ~doc:
+            "high watermark of each client's master-outage outbox, in every run.  Above it the \
+             biggest buffered clause-share batches are shed first; control messages are never \
+             shed")
+  in
+  let choke =
+    Arg.(
+      value & opt int 0
+      & info [ "choke" ]
+          ~doc:
+            "fault injection: saturate every link of the run (of every job's run under \
+             $(b,serve)) to at most this many bytes per share window per link, the rest dropped \
+             (deterministic, 0 disables)")
+  in
+  let make testbed hosts seed chaos corrupt_p hedge standby ship_sync flaky share_budget
+      journal_quota outbox_cap choke =
+    { testbed; hosts; seed; chaos; corrupt_p; hedge; standby; ship_sync; flaky; share_budget;
+      journal_quota; outbox_cap; choke }
+  in
+  Term.(
+    const make $ testbed $ hosts $ seed $ chaos $ corrupt_p $ hedge $ standby $ ship_sync $ flaky
+    $ share_budget $ journal_quota $ outbox_cap $ choke)
 
 (* The run configuration [solve -m grid] and [serve] build from the flags
    they share.  --chaos also turns on the recovery machinery the fault
@@ -199,13 +339,22 @@ let ship_modes = [ ("async", false); ("sync", true) ]
    deadlines.  --standby arms hot-standby master replication; under
    --chaos the lease and ship interval tighten so the canned early crash
    promotes within the run's horizon (the lease must exceed
-   heartbeat_period). *)
-let run_config ~seed ~chaos ~hedge ~standby ~ship_sync ~share_budget ~journal_quota ~outbox_cap =
+   heartbeat_period).  --ship sync without --standby is left for
+   [Config.validate] to reject. *)
+let run_config f =
   let config =
-    { Cfg.default with Cfg.split_timeout = 5.; share_budget; journal_quota; outbox_cap; seed }
+    {
+      Cfg.default with
+      Cfg.split_timeout = 5.;
+      share_budget = f.share_budget;
+      journal_quota = f.journal_quota;
+      outbox_cap = f.outbox_cap;
+      seed = f.seed;
+      ship_sync = f.ship_sync;
+    }
   in
   let config =
-    if chaos then
+    if f.chaos then
       {
         config with
         Cfg.checkpoint = Cfg.Light;
@@ -218,39 +367,29 @@ let run_config ~seed ~chaos ~hedge ~standby ~ship_sync ~share_budget ~journal_qu
     else config
   in
   let config =
-    if hedge then { config with Cfg.hedge = true; adaptive_timeouts = true } else config
+    if f.hedge then { config with Cfg.hedge = true; adaptive_timeouts = true } else config
   in
-  if standby then
+  if f.standby then
     {
       config with
       Cfg.standby = true;
-      ship_sync;
-      standby_lease = (if chaos then 6. else config.Cfg.standby_lease);
-      ship_interval = (if chaos then 1. else config.Cfg.ship_interval);
+      standby_lease = (if f.chaos then 6. else config.Cfg.standby_lease);
+      ship_interval = (if f.chaos then 1. else config.Cfg.ship_interval);
     }
   else config
 
-let solve_grid ~testbed ~hosts ~stats ~share_len ~timeout ~seed ~chaos ~chaos_partition ~certify
-    ~corrupt_p ~hedge ~standby ~ship_sync ~stragglers ~flaky ~share_budget ~journal_quota
-    ~outbox_cap ~choke ~health_report ~report ~trace cnf =
-  match testbed_of_string ~hosts testbed with
+let solve_grid (f : run_flags) ~stats ~share_len ~timeout ~chaos_partition ~certify ~stragglers
+    ~health_report ~report ~trace cnf =
+  match testbed_of_string ~hosts:f.hosts f.testbed with
   | Error e ->
       prerr_endline e;
       2
-  | Ok _ when chaos_partition && not (chaos && standby) ->
+  | Ok _ when chaos_partition && not (f.chaos && f.standby) ->
       Printf.eprintf "gridsat: --chaos-partition requires both --chaos and --standby\n";
       2
   | Ok testbed ->
       let obs = obs_of ~report ~trace in
-      let config =
-        {
-          (run_config ~seed ~chaos ~hedge ~standby ~ship_sync ~share_budget ~journal_quota
-             ~outbox_cap)
-          with
-          Cfg.share_max_len = share_len;
-          overall_timeout = timeout;
-        }
-      in
+      let config = { (run_config f) with Cfg.share_max_len = share_len; overall_timeout = timeout } in
       (* --certify implies its own preconditions: integrity framing on and
          clause sharing off (Config.validate rejects anything else) *)
       let config =
@@ -258,24 +397,27 @@ let solve_grid ~testbed ~hosts ~stats ~share_len ~timeout ~seed ~chaos ~chaos_pa
           { config with Cfg.certify = true; integrity_checks = true; share_max_len = 0 }
         else config
       in
-      let fault_plan = if chaos then chaos_plan ~standby ~partition:chaos_partition () else [] in
       let fault_plan =
-        if stragglers > 0 then straggler_plan ~n:stragglers ~flaky ~seed @ fault_plan else fault_plan
+        if f.chaos then chaos_plan ~standby:f.standby ~partition:chaos_partition () else []
       in
       let fault_plan =
-        if corrupt_p <> 0. then
+        if stragglers > 0 then straggler_plan ~n:stragglers ~flaky:f.flaky ~seed:f.seed @ fault_plan
+        else fault_plan
+      in
+      let fault_plan =
+        if f.corrupt_p <> 0. then
           Grid.Fault.Corrupt_messages
-            { src_site = None; dst_site = None; p = corrupt_p; from_t = 0.; until_t = infinity }
+            { src_site = None; dst_site = None; p = f.corrupt_p; from_t = 0.; until_t = infinity }
           :: fault_plan
         else fault_plan
       in
       let fault_plan =
-        if choke > 0 then
+        if f.choke > 0 then
           Grid.Fault.Choke_link
             {
               src_site = None;
               dst_site = None;
-              bytes_per_window = choke;
+              bytes_per_window = f.choke;
               window = config.Cfg.share_window;
               from_t = 0.;
               until_t = infinity;
@@ -288,7 +430,7 @@ let solve_grid ~testbed ~hosts ~stats ~share_len ~timeout ~seed ~chaos ~chaos_pa
           Printf.eprintf "gridsat: bad configuration: %s\n" e;
           2
       | Ok () ->
-      let health = if hedge || health_report then Some (Gridsat_core.Health.create ()) else None in
+      let health = if f.hedge || health_report then Some (Gridsat_core.Health.create ()) else None in
       let result = Gridsat_core.Gridsat.solve ?health ~config ~fault_plan ~obs ~testbed cnf in
       (match result.Gridsat_core.Master.answer with
       | Gridsat_core.Master.Sat model -> Format.printf "s SATISFIABLE@.v %a@." Sat.Model.pp model
@@ -301,13 +443,13 @@ let solve_grid ~testbed ~hosts ~stats ~share_len ~timeout ~seed ~chaos ~chaos_pa
                result.Gridsat_core.Master.certified_fragments result.Gridsat_core.Master.quarantines
          | Gridsat_core.Master.Sat _ -> Format.printf "c certified SAT: model re-evaluated@."
          | Gridsat_core.Master.Unknown _ -> ());
-      (if corrupt_p > 0. then
+      (if f.corrupt_p > 0. then
          Format.printf "c corruption: %d payloads detected, %d nacked@."
            result.Gridsat_core.Master.corrupt_detected result.Gridsat_core.Master.nacks);
-      (if hedge then
+      (if f.hedge then
          Format.printf "c hedging: %d launched, %d losers fenced@."
            result.Gridsat_core.Master.hedges result.Gridsat_core.Master.hedge_cancellations);
-      (if standby then
+      (if f.standby then
          Format.printf
            "c failover: %d promotion(s), %d journal batches shipped, %d stale frames rejected, %d \
             divergences@."
@@ -315,7 +457,7 @@ let solve_grid ~testbed ~hosts ~stats ~share_len ~timeout ~seed ~chaos ~chaos_pa
            result.Gridsat_core.Master.stale_epoch_rejections
            result.Gridsat_core.Master.replication_divergences);
       (match health with Some hm when health_report -> print_health_table hm | _ -> ());
-      (if share_budget > 0 || journal_quota > 0 || choke > 0 then
+      (if f.share_budget > 0 || f.journal_quota > 0 || f.choke > 0 then
          Format.printf
            "c resources: %d clauses shed (link peak %d B), %d dups suppressed, outbox peak %d \
             (%d shed), %d forced compactions, %d degraded entries@."
@@ -329,17 +471,17 @@ let solve_grid ~testbed ~hosts ~stats ~share_len ~timeout ~seed ~chaos ~chaos_pa
             ~meta:
               [
                 ("mode", Obs.Json.String "grid");
-                ("seed", Obs.Json.Int seed);
-                ("chaos", Obs.Json.Bool chaos);
+                ("seed", Obs.Json.Int f.seed);
+                ("chaos", Obs.Json.Bool f.chaos);
                 ("certify", Obs.Json.Bool certify);
-                ("corrupt_p", Obs.Json.Float corrupt_p);
-                ("hedge", Obs.Json.Bool hedge);
-                ("standby", Obs.Json.Bool standby);
+                ("corrupt_p", Obs.Json.Float f.corrupt_p);
+                ("hedge", Obs.Json.Bool f.hedge);
+                ("standby", Obs.Json.Bool f.standby);
                 ("stragglers", Obs.Json.Int stragglers);
-                ("share_budget", Obs.Json.Int share_budget);
-                ("journal_quota", Obs.Json.Int journal_quota);
-                ("outbox_cap", Obs.Json.Int outbox_cap);
-                ("choke", Obs.Json.Int choke);
+                ("share_budget", Obs.Json.Int f.share_budget);
+                ("journal_quota", Obs.Json.Int f.journal_quota);
+                ("outbox_cap", Obs.Json.Int f.outbox_cap);
+                ("choke", Obs.Json.Int f.choke);
               ]
             ~obs result);
       0
@@ -361,12 +503,13 @@ let solve_cmd =
   let mode =
     Arg.(value & opt string "seq" & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"seq, grid or par")
   in
-  let testbed =
-    Arg.(value & opt string "uniform" & info [ "t"; "testbed" ] ~doc:"uniform, grads or set2")
-  in
-  let hosts = Arg.(value & opt int 8 & info [ "hosts" ] ~doc:"hosts for the uniform testbed") in
   let jobs = Arg.(value & opt int 4 & info [ "j"; "jobs" ] ~doc:"domains for par mode") in
-  let share_len = Arg.(value & opt int 10 & info [ "share-len" ] ~doc:"max shared clause length") in
+  let share_len =
+    Arg.(
+      value
+      & opt int Cfg.default.Cfg.share_max_len
+      & info [ "share-len" ] ~doc:"max shared clause length")
+  in
   let timeout =
     Arg.(
       value & opt float 100_000.
@@ -383,10 +526,6 @@ let solve_cmd =
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"print run statistics") in
   let preprocess =
     Arg.(value & flag & info [ "preprocess" ] ~doc:"simplify before solving (seq mode)")
-  in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"run seed (grid mode)") in
-  let chaos =
-    Arg.(value & flag & info [ "chaos" ] ~doc:"arm a canned fault plan (grid mode)")
   in
   let chaos_partition =
     Arg.(
@@ -407,40 +546,6 @@ let solve_cmd =
              master checks each one under its branch's guiding path and quarantines clients whose \
              answers fail.  Implies integrity framing and disables clause sharing.")
   in
-  let corrupt_p =
-    Arg.(
-      value & opt float 0.
-      & info [ "corrupt-p" ]
-          ~doc:"probability of corrupting each message payload in flight (grid mode fault injection)")
-  in
-  let hedge =
-    Arg.(
-      value & flag
-      & info [ "hedge" ]
-          ~doc:
-            "grid mode: arm the straggler defense — health-aware ranking, adaptive lease/retry \
-             deadlines, and hedged re-execution (a subproblem running past the fleet p99 is cloned \
-             to an idle host; first result wins, the loser is cancelled and fenced)")
-  in
-  let standby =
-    Arg.(
-      value & flag
-      & info [ "standby" ]
-          ~doc:
-            "grid mode: arm a hot-standby master — journal records ship to a shadow replica that \
-             continuously checks its replay digest against the primary's; if the primary falls \
-             silent past the standby lease, the replica bumps the master epoch and takes the run \
-             over without restarting the clients")
-  in
-  let ship =
-    Arg.(
-      value & opt (enum ship_modes) false
-      & info [ "ship" ] ~docv:"MODE"
-          ~doc:
-            "journal shipping mode with --standby: $(b,async) batches records on the ship \
-             interval (bounded replication lag), $(b,sync) ships every record as it is appended \
-             (zero lag, one extra message per append)")
-  in
   let stragglers =
     Arg.(
       value & opt int 0
@@ -448,47 +553,6 @@ let solve_cmd =
           ~doc:
             "grid mode fault injection: silently slow down this many hosts early in the run \
              (seeded factors; heartbeats stay on time, so only --hedge defends)")
-  in
-  let flaky =
-    Arg.(
-      value & flag
-      & info [ "flaky" ]
-          ~doc:"make --stragglers oscillate between full and degraded speed instead of a one-shot slowdown")
-  in
-  let share_budget =
-    Arg.(
-      value & opt int 0
-      & info [ "share-budget" ]
-          ~doc:
-            "grid mode: per-recipient-link clause-share byte budget per share window (0 = \
-             unconditional broadcast).  Shortest clauses are relayed first; whatever exceeds a \
-             link's window budget is shed and counted")
-  in
-  let journal_quota =
-    Arg.(
-      value & opt int 0
-      & info [ "journal-quota" ]
-          ~doc:
-            "grid mode: disk quota for the master's write-ahead journal in estimated bytes (0 = \
-             unlimited).  Crossing it forces an emergency compaction; if still over, the run \
-             enters journaled-degraded mode until occupancy drops")
-  in
-  let outbox_cap =
-    Arg.(
-      value & opt int 32
-      & info [ "outbox-cap" ]
-          ~doc:
-            "grid mode: high watermark of each client's master-outage outbox.  Above it the \
-             biggest buffered clause-share batches are shed first; control messages are never \
-             shed")
-  in
-  let choke =
-    Arg.(
-      value & opt int 0
-      & info [ "choke" ]
-          ~doc:
-            "grid mode fault injection: saturate every link — at most this many bytes per share \
-             window per link, the rest dropped (deterministic, 0 disables)")
   in
   let health_report =
     Arg.(
@@ -505,9 +569,8 @@ let solve_cmd =
       & opt (some string) None
       & info [ "trace" ] ~doc:"write a Chrome trace_event file here (chrome://tracing, Perfetto)")
   in
-  let run file mode testbed hosts jobs share_len timeout budget proof stats preprocess seed chaos
-      chaos_partition certify corrupt_p hedge standby ship stragglers flaky share_budget
-      journal_quota outbox_cap choke health_report report trace =
+  let run file mode flags jobs share_len timeout budget proof stats preprocess chaos_partition
+      certify stragglers health_report report trace =
     match read_cnf file with
     | Error e ->
         prerr_endline e;
@@ -521,9 +584,8 @@ let solve_cmd =
             solve_sequential ~preprocess ~proof_out:proof ~stats ~budget ~report ~trace cnf
         | "grid" ->
             List.iter check_file outputs;
-            solve_grid ~testbed ~hosts ~stats ~share_len ~timeout ~seed ~chaos ~chaos_partition
-              ~certify ~corrupt_p ~hedge ~standby ~ship_sync:ship ~stragglers ~flaky ~share_budget
-              ~journal_quota ~outbox_cap ~choke ~health_report ~report ~trace cnf
+            solve_grid flags ~stats ~share_len ~timeout ~chaos_partition ~certify ~stragglers
+              ~health_report ~report ~trace cnf
         | "par" ->
             if report <> None || trace <> None then
               Format.printf "c note: --report/--trace are not wired into par mode@.";
@@ -535,10 +597,8 @@ let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve a DIMACS CNF file")
     Term.(
-      const run $ file $ mode $ testbed $ hosts $ jobs $ share_len $ timeout $ budget $ proof
-      $ stats $ preprocess $ seed $ chaos $ chaos_partition $ certify $ corrupt_p $ hedge $ standby
-      $ ship $ stragglers $ flaky $ share_budget $ journal_quota $ outbox_cap $ choke
-      $ health_report $ report $ trace)
+      const run $ file $ mode $ run_flags $ jobs $ share_len $ timeout $ budget $ proof $ stats
+      $ preprocess $ chaos_partition $ certify $ stragglers $ health_report $ report $ trace)
 
 (* ---------- serve ---------- *)
 
@@ -547,10 +607,8 @@ module Sjob = Gridsat_service.Job
 
 let split_commas s = String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) "")
 
-let serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tenants ~priorities
-    ~deadline ~seed ~chaos ~corrupt_p ~hedge ~standby ~ship_sync ~slow_hosts ~flaky ~share_budget
-    ~journal_quota ~outbox_cap ~choke ~brownout ~resubmit ~stats ~report ~slo ~flight_dir
-    ~metrics_dir =
+let serve (f : run_flags) ~files ~hosts_per_job ~max_concurrent ~queue_cap ~tenants ~priorities
+    ~deadline ~slow_hosts ~brownout ~resubmit ~stats ~report ~slo ~flight_dir ~metrics_dir =
   let slo_spec =
     match slo with
     | None -> Ok None
@@ -564,7 +622,7 @@ let serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tena
       prerr_endline e;
       2
   | Ok slo_spec -> (
-  match testbed_of_string ~hosts testbed with
+  match testbed_of_string ~hosts:f.hosts f.testbed with
   | Error e ->
       prerr_endline e;
       2
@@ -607,32 +665,28 @@ let serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tena
                   Obs.create ~flight:(Obs.Flight.create ()) ~anomaly:(Obs.Anomaly.create ()) ()
                 else Obs.disabled
               in
-              let run_config =
-                run_config ~seed ~chaos ~hedge ~standby ~ship_sync ~share_budget ~journal_quota
-                  ~outbox_cap
-              in
               let svc_chaos =
-                if chaos || corrupt_p <> 0. || slow_hosts > 0 || choke > 0 then
+                if f.chaos || f.corrupt_p <> 0. || slow_hosts > 0 || f.choke > 0 then
                   Some
                     {
                       Svc.default_chaos with
-                      Svc.master_crash = chaos;
-                      corrupt_p;
-                      crash_hosts = (if chaos then 1 else 0);
+                      Svc.master_crash = f.chaos;
+                      corrupt_p = f.corrupt_p;
+                      crash_hosts = (if f.chaos then 1 else 0);
                       slow_hosts;
-                      flaky;
-                      choke;
+                      flaky = f.flaky;
+                      choke = f.choke;
                     }
                 else None
               in
               let cfg =
                 {
                   Svc.default_config with
-                  Svc.run = run_config;
+                  Svc.run = run_config f;
                   hosts_per_job;
                   max_concurrent;
                   queue_capacity = queue_cap;
-                  seed;
+                  seed = f.seed;
                   chaos = svc_chaos;
                   brownout_threshold = brownout;
                 }
@@ -676,7 +730,7 @@ let serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tena
                         | Svc.Accepted -> ()
                         | Svc.Cached a ->
                             Format.printf "c %-28s served from cache: %s@." label
-                              (Sjob.answer_string a)
+                              (Gridsat_core.Gridsat.answer_string a)
                         | Svc.Rejected { retry_after } ->
                             Format.printf "c %-28s shed (queue full), retry in %.0f s@." label
                               retry_after)
@@ -707,7 +761,7 @@ let serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tena
                      preempted %d cancelled %d completed %d@."
                     s.Svc.submitted s.Svc.admitted s.Svc.shed s.Svc.cache_hits
                     s.Svc.deadline_expired s.Svc.preempted s.Svc.cancelled s.Svc.completed;
-                  if standby then begin
+                  if f.standby then begin
                     let promotions, ships, stale =
                       List.fold_left
                         (fun (p, sh, st) (j : Sjob.t) ->
@@ -724,7 +778,7 @@ let serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tena
                        rejected@."
                       promotions ships stale
                   end;
-                  (if share_budget > 0 || journal_quota > 0 || choke > 0 then
+                  (if f.share_budget > 0 || f.journal_quota > 0 || f.choke > 0 then
                      let shed, peak, dups, degr =
                        List.fold_left
                          (fun (sh, pk, du, de) (j : Sjob.t) ->
@@ -772,10 +826,6 @@ let serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tena
 
 let serve_cmd =
   let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE.cnf") in
-  let testbed =
-    Arg.(value & opt string "uniform" & info [ "t"; "testbed" ] ~doc:"uniform, grads or set2")
-  in
-  let hosts = Arg.(value & opt int 8 & info [ "hosts" ] ~doc:"hosts for the uniform testbed") in
   let hosts_per_job =
     Arg.(value & opt int 2 & info [ "hosts-per-job" ] ~doc:"lease size for each run")
   in
@@ -806,86 +856,11 @@ let serve_cmd =
             "per-job deadline in virtual seconds (0 = none); an expired job is cancelled \
              gracefully and its hosts return to the pool")
   in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"service seed") in
-  let chaos =
-    Arg.(
-      value & flag
-      & info [ "chaos" ]
-          ~doc:
-            "arm the per-job chaos template: a master crash-failover and a host crash inside every \
-             run")
-  in
-  let corrupt_p =
-    Arg.(
-      value & opt float 0.
-      & info [ "corrupt-p" ] ~doc:"probability of corrupting each message payload in flight")
-  in
-  let hedge =
-    Arg.(
-      value & flag
-      & info [ "hedge" ]
-          ~doc:
-            "arm the straggler defense in every run: health-aware ranking, adaptive timeouts and \
-             hedged re-execution")
-  in
-  let standby =
-    Arg.(
-      value & flag
-      & info [ "standby" ]
-          ~doc:
-            "run every job with a hot-standby master replica: the journal is shipped to a shadow \
-             state machine whose lease expiry promotes it (epoch-fenced) if the primary dies")
-  in
-  let ship =
-    Arg.(
-      value & opt (enum ship_modes) false
-      & info [ "ship" ]
-          ~doc:
-            "journal shipping mode for --standby: async batches entries on a timer (bounded lag), \
-             sync ships every append before proceeding (zero lag, higher overhead)")
-  in
   let slow_hosts =
     Arg.(
       value & opt int 0
       & info [ "slow-hosts" ]
           ~doc:"chaos: silently slow down this many of each job's leased hosts (seeded stragglers)")
-  in
-  let flaky =
-    Arg.(
-      value & flag
-      & info [ "flaky" ]
-          ~doc:"make --slow-hosts oscillate between full and degraded speed on a seeded period")
-  in
-  let share_budget =
-    Arg.(
-      value & opt int 0
-      & info [ "share-budget" ]
-          ~doc:
-            "per-recipient-link clause-share byte budget per share window inside every run (0 = \
-             unconditional broadcast)")
-  in
-  let journal_quota =
-    Arg.(
-      value & opt int 0
-      & info [ "journal-quota" ]
-          ~doc:
-            "disk quota in estimated bytes for each run's write-ahead journal and the service \
-             joblog (0 = unlimited); crossing it forces compaction / degraded mode and feeds the \
-             resource-pressure brownout dimension")
-  in
-  let outbox_cap =
-    Arg.(
-      value & opt int 32
-      & info [ "outbox-cap" ]
-          ~doc:"high watermark of each client's master-outage outbox inside every run")
-  in
-  let choke =
-    Arg.(
-      value & opt int 0
-      & info [ "choke" ]
-          ~doc:
-            "chaos: saturate every link of each run — at most this many bytes per share window \
-             per link, the rest dropped (deterministic, 0 disables)")
   in
   let brownout =
     Arg.(
@@ -912,7 +887,7 @@ let serve_cmd =
       value & opt (some string) None
       & info [ "slo" ]
           ~doc:
-            "per-tenant SLO spec, e.g. 'acme:queue_wait<5,solve<60\\@0.95,errors<0.1;*:solve<120'; \
+            "per-tenant SLO spec, e.g. 'acme:queue_wait<5,solve<60@0.95,errors<0.1;*:solve<120'; \
              budget burn is tracked live and surfaced in the report's slo section")
   in
   let flight_dir =
@@ -931,23 +906,19 @@ let serve_cmd =
             "write a Prometheus-style text exposition of the metrics registry to \
              DIR/metrics.prom periodically and at the end of the run")
   in
-  let run files testbed hosts hosts_per_job max_concurrent queue_cap tenants priorities deadline
-      seed chaos corrupt_p hedge standby ship slow_hosts flaky share_budget journal_quota
-      outbox_cap choke brownout resubmit stats report slo flight_dir metrics_dir =
+  let run flags files hosts_per_job max_concurrent queue_cap tenants priorities deadline slow_hosts
+      brownout resubmit stats report slo flight_dir metrics_dir =
     guard_writes @@ fun () ->
     Option.iter check_file report;
-    serve ~files ~testbed ~hosts ~hosts_per_job ~max_concurrent ~queue_cap ~tenants ~priorities
-      ~deadline ~seed ~chaos ~corrupt_p ~hedge ~standby ~ship_sync:ship ~slow_hosts ~flaky ~share_budget
-      ~journal_quota ~outbox_cap ~choke ~brownout ~resubmit ~stats ~report ~slo ~flight_dir
-      ~metrics_dir
+    serve flags ~files ~hosts_per_job ~max_concurrent ~queue_cap ~tenants ~priorities ~deadline
+      ~slow_hosts ~brownout ~resubmit ~stats ~report ~slo ~flight_dir ~metrics_dir
   in
   Cmd.v
     (Cmd.info "serve" ~doc:"Solve a batch of CNF files as a multi-tenant job service")
     Term.(
-      const run $ files $ testbed $ hosts $ hosts_per_job $ max_concurrent $ queue_cap $ tenants
-      $ priorities $ deadline $ seed $ chaos $ corrupt_p $ hedge $ standby $ ship $ slow_hosts
-      $ flaky $ share_budget $ journal_quota $ outbox_cap $ choke $ brownout $ resubmit $ stats
-      $ report $ slo $ flight_dir $ metrics_dir)
+      const run $ run_flags $ files $ hosts_per_job $ max_concurrent $ queue_cap $ tenants
+      $ priorities $ deadline $ slow_hosts $ brownout $ resubmit $ stats $ report $ slo
+      $ flight_dir $ metrics_dir)
 
 (* ---------- gen ---------- *)
 

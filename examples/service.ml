@@ -29,7 +29,7 @@ let tenant i = [| "alice"; "bob"; "carol" |].(i mod 3)
 
 let show_outcome label = function
   | Svc.Accepted -> Printf.printf "  %-12s accepted\n" label
-  | Svc.Cached a -> Printf.printf "  %-12s served from cache: %s\n" label (Job.answer_string a)
+  | Svc.Cached a -> Printf.printf "  %-12s served from cache: %s\n" label (C.Gridsat.answer_string a)
   | Svc.Rejected { retry_after } ->
       Printf.printf "  %-12s shed (retry in %.0fs)\n" label retry_after
 

@@ -1,3 +1,30 @@
+let launch ~sim ~net ~obs ?health ~config ~testbed ~fault_plan ~fault_seed cnf =
+  (match Grid.Fault.validate fault_plan with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Gridsat.launch: bad fault plan: " ^ msg));
+  let bus = Grid.Everyware.create ~obs sim net in
+  let master = Master.create ~obs ?health ~sim ~net ~bus ~cfg:config ~testbed cnf in
+  if fault_plan <> [] then begin
+    let ctl =
+      Grid.Fault.arm ~sim ~seed:fault_seed
+        ~on_crash:(fun host -> Master.crash_host master host)
+        ~on_hang:(fun host -> Master.hang_host master host)
+        ~on_master_crash:(fun () -> Master.crash_master master)
+        ~on_master_restart:(fun () -> Master.restart_master master)
+        ~on_storage_corrupt:(fun ~journal_records ~checkpoints ->
+          Master.corrupt_storage master ~journal_records ~checkpoints)
+        ~on_slow:(fun host factor -> Master.slow_host master host factor)
+        ~on_disk_full:(fun ~quota -> Master.set_journal_quota master ~quota)
+        fault_plan
+    in
+    (* the corruptor garbles a payload in place of delivering it intact:
+       the inner message rots, the framing headers keep their own CRC *)
+    Grid.Everyware.set_corrupt bus Protocol.corrupt;
+    Grid.Everyware.set_fault bus (fun ~src_site ~dst_site ~bytes ->
+        Grid.Fault.decide ctl ~src_site ~dst_site ~bytes)
+  end;
+  master
+
 let solve ?(config = Config.default) ?(fault_plan = []) ?(obs = Obs.disabled) ?health ?on_master
     ~testbed cnf =
   Config.validate_exn config;
@@ -5,32 +32,10 @@ let solve ?(config = Config.default) ?(fault_plan = []) ?(obs = Obs.disabled) ?h
   (* Spans carry virtual time: the whole run's trace lives on the
      simulation clock, so cross-process causality lines up in Perfetto. *)
   Obs.set_clock obs (fun () -> Grid.Sim.now sim);
-  let net = Grid.Network.create () in
-  let bus = Grid.Everyware.create ~obs sim net in
-  let master = Master.create ~obs ?health ~sim ~net ~bus ~cfg:config ~testbed cnf in
-  (match fault_plan with
-  | [] -> ()
-  | specs ->
-      (match Grid.Fault.validate specs with
-      | Ok () -> ()
-      | Error msg -> invalid_arg ("Gridsat.solve: bad fault plan: " ^ msg));
-      let ctl =
-        Grid.Fault.arm ~sim ~seed:config.Config.seed
-          ~on_crash:(fun host -> Master.crash_host master host)
-          ~on_hang:(fun host -> Master.hang_host master host)
-          ~on_master_crash:(fun () -> Master.crash_master master)
-          ~on_master_restart:(fun () -> Master.restart_master master)
-          ~on_storage_corrupt:(fun ~journal_records ~checkpoints ->
-            Master.corrupt_storage master ~journal_records ~checkpoints)
-          ~on_slow:(fun host factor -> Master.slow_host master host factor)
-          ~on_disk_full:(fun ~quota -> Master.set_journal_quota master ~quota)
-          specs
-      in
-      (* the corruptor garbles a payload in place of delivering it intact:
-         the inner message rots, the framing headers keep their own CRC *)
-      Grid.Everyware.set_corrupt bus Protocol.corrupt;
-      Grid.Everyware.set_fault bus (fun ~src_site ~dst_site ~bytes ->
-          Grid.Fault.decide ctl ~src_site ~dst_site ~bytes));
+  let master =
+    launch ~sim ~net:(Grid.Network.create ()) ~obs ?health ~config ~testbed ~fault_plan
+      ~fault_seed:config.Config.seed cnf
+  in
   (match on_master with Some f -> f master | None -> ());
   (* Drive the simulation until the master reaches a verdict.  The master
      always arms an overall-timeout event, so this terminates. *)

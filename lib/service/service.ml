@@ -318,8 +318,8 @@ let finalize_run t r =
 
 (* Seeded per-job fault plan, offsets drawn from the service RNG (the
    draw order follows the deterministic dispatch order, so the whole
-   schedule replays). *)
-let arm_chaos t ch ~(master : Master.t) ~bus ~(job : Job.t) ~lease =
+   schedule replays).  [Gridsat.launch] arms it. *)
+let chaos_plan t ch ~lease =
   let start = now t in
   let frnd hi = Random.State.float t.rng hi in
   let specs = ref [] in
@@ -381,24 +381,7 @@ let arm_chaos t ch ~(master : Master.t) ~bus ~(job : Job.t) ~lease =
           specs := Grid.Fault.Slow_host { host = host_id h; at; factor = ch.slow_factor } :: !specs
       end)
     lease;
-  if !specs <> [] then begin
-    let ctl =
-      Grid.Fault.arm ~sim:t.sim
-        ~seed:(t.cfg.seed + (31 * job.Job.id))
-        ~on_crash:(fun host -> Master.crash_host master host)
-        ~on_hang:(fun host -> Master.hang_host master host)
-        ~on_master_crash:(fun () -> Master.crash_master master)
-        ~on_master_restart:(fun () -> Master.restart_master master)
-        ~on_storage_corrupt:(fun ~journal_records ~checkpoints ->
-          Master.corrupt_storage master ~journal_records ~checkpoints)
-        ~on_slow:(fun host factor -> Master.slow_host master host factor)
-        ~on_disk_full:(fun ~quota -> Master.set_journal_quota master ~quota)
-        !specs
-    in
-    Grid.Everyware.set_corrupt bus Core.Protocol.corrupt;
-    Grid.Everyware.set_fault bus (fun ~src_site ~dst_site ~bytes ->
-        Grid.Fault.decide ctl ~src_site ~dst_site ~bytes)
-  end
+  !specs
 
 let start_job t (job : Job.t) =
   let rec split n acc = function
@@ -429,13 +412,14 @@ let start_job t (job : Job.t) =
     Obs.scope t.obs
       ~labels:[ ("job", string_of_int job.Job.id); ("tenant", job.Job.tenant) ]
   in
-  let bus = Grid.Everyware.create ~obs:job_obs t.sim t.net in
-  let rcfg = { t.cfg.run with Config.seed = t.cfg.run.Config.seed + job.Job.id } in
+  let config = { t.cfg.run with Config.seed = t.cfg.run.Config.seed + job.Job.id } in
+  let fault_plan = match t.cfg.chaos with None -> [] | Some ch -> chaos_plan t ch ~lease in
   let master =
-    Master.create ~obs:job_obs ~health:t.health ~sim:t.sim ~net:t.net ~bus ~cfg:rcfg
-      ~testbed:sub job.Job.cnf
+    Core.Gridsat.launch ~sim:t.sim ~net:t.net ~obs:job_obs ~health:t.health ~config ~testbed:sub
+      ~fault_plan
+      ~fault_seed:(t.cfg.seed + (31 * job.Job.id))
+      job.Job.cnf
   in
-  (match t.cfg.chaos with None -> () | Some ch -> arm_chaos t ch ~master ~bus ~job ~lease);
   job.Job.state <- Job.Running;
   if job.Job.started_at = None then job.Job.started_at <- Some (now t);
   let wait = now t -. job.Job.submitted_at in
@@ -693,7 +677,7 @@ let submit t ~tenant ~priority ?deadline_in ?label cnf =
       (match t.slo with
       | Some slo -> Obs.Slo.note_solved slo ~now:(now t) ~tenant 0.0
       | None -> ());
-      Joblog.append t.log (Joblog.Cache_hit { id; answer = Job.answer_string answer });
+      Joblog.append t.log (Joblog.Cache_hit { id; answer = Core.Gridsat.answer_string answer });
       Cached answer
   | None ->
       Obs.Anomaly.observe t.d_cache_hit ~at:(now t) 0.0;

@@ -738,6 +738,62 @@ let test_obs_byte_stable_across_runs () =
   check Alcotest.string "flight dumps byte-stable" d1 d2;
   check Alcotest.string "report sections byte-stable" r1 r2
 
+(* ---------- the launch path under every chaos field ---------- *)
+
+(* Every [chaos] field set at once, with a hot standby in every run: the
+   per-job plans (master crash, corruption, host crashes, a flaky
+   straggler, a choked link) are drawn and armed on the launch path each
+   run shares with [Gridsat.solve].  The figures below were recorded
+   before that path was shared; any change to the draw order, the plan or
+   the arming moves them. *)
+let launch_golden_scenario () =
+  let cfg =
+    {
+      svc_config with
+      Svc.run = { run_config with Cfg.standby = true };
+      hosts_per_job = 3;
+      max_concurrent = 2;
+      seed = 5;
+      chaos =
+        Some
+          {
+            Svc.master_crash = true;
+            corrupt_p = 0.02;
+            crash_hosts = 3;
+            slow_hosts = 1;
+            slow_factor = 6.;
+            flaky = true;
+            choke = 65536;
+          };
+    }
+  in
+  let svc = Svc.create ~cfg ~testbed:(testbed 6) () in
+  List.iteri
+    (fun i cnf ->
+      ignore (Svc.submit svc ~tenant:(Printf.sprintf "t%d" (i mod 2)) ~priority:Job.Normal cnf))
+    [ php ~pigeons:6 ~holes:5; planted ~nvars:22 11; planted ~nvars:22 12; php ~pigeons:5 ~holes:4 ];
+  Svc.run svc;
+  svc
+
+let test_launch_golden () =
+  let svc = launch_golden_scenario () in
+  let line (j : Job.t) =
+    match j.Job.result with
+    | None -> Printf.sprintf "%d %s no run" j.Job.id (Job.state_string j.Job.state)
+    | Some r ->
+        Printf.sprintf "%d %s time=%.3f messages=%d bytes=%d promotions=%d events=%d" j.Job.id
+          (Job.state_string j.Job.state) r.C.Master.time r.C.Master.messages r.C.Master.bytes
+          r.C.Master.promotions (List.length r.C.Master.events)
+  in
+  check (Alcotest.list Alcotest.string) "per-job launch figures"
+    [
+      "1 verdict:UNSAT time=48.000 messages=50 bytes=25536 promotions=1 events=44";
+      "2 verdict:SAT time=45.000 messages=46 bytes=19334 promotions=1 events=39";
+      "3 verdict:SAT time=43.000 messages=41 bytes=18846 promotions=1 events=37";
+      "4 verdict:UNSAT time=43.000 messages=41 bytes=11736 promotions=1 events=33";
+    ]
+    (List.map line (Svc.jobs svc))
+
 let () =
   Alcotest.run "service"
     [
@@ -775,6 +831,7 @@ let () =
           Alcotest.test_case "deterministic replay" `Quick test_chaos_matrix_deterministic_replay;
           Alcotest.test_case "invariant across seeds" `Slow test_lifecycle_invariant_across_seeds;
         ] );
+      ("launch", [ Alcotest.test_case "golden under every chaos field" `Quick test_launch_golden ]);
       ( "observability",
         [
           Alcotest.test_case "slo burn + flight dump" `Quick test_obs_slo_burn_and_flight_dump;
