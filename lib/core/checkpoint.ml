@@ -44,9 +44,12 @@ let record_save t ~client ~light bytes =
          "checkpoint.save")
   end
 
-(* At-rest integrity seal over the snapshot's serialised form, taken at
-   save time and re-checked on restore. *)
-let seal_of sp = Integrity.crc32 (Subproblem.to_string sp)
+(* At-rest integrity seal: CRC-32 over the snapshot's codec encoding,
+   taken at save time and re-checked on restore. *)
+let seal_of sp =
+  let c = Codec.scratch () in
+  Subproblem.encode c sp;
+  Codec.crc32 c
 
 let save t ~client ~mode sp =
   match mode with

@@ -21,8 +21,8 @@ val restore : t -> client:int -> Subproblem.t option
 (** The subproblem to restart from, reconstructed per the stored mode:
     a light checkpoint yields the original clauses plus the saved root
     assignment; a heavy checkpoint yields the full saved state.  A
-    snapshot whose at-rest integrity seal (CRC-32 of its serialised form,
-    taken at save time) no longer matches is discarded and [None] is
+    snapshot whose at-rest integrity seal (CRC-32 of its
+    {!Subproblem.encode} bytes, taken at save time) no longer matches is discarded and [None] is
     returned — restoring a rotted root assignment could silently narrow
     the search space, while [None] sends the caller down the safe
     lineage re-derivation path. *)

@@ -12,15 +12,27 @@
       used for at-rest records (journal entries, checkpoint snapshots)
       where we mirror what a storage layer would do.
 
+    Both hash a [(bytes, off, len)] slice without allocating, so a caller
+    can digest the part of a reused buffer it wrote ({!Codec}).
+
     A digest detects corruption; it does not authenticate.  Certification
     of {e answers} (which must not trust the sender at all) is the job of
     DRUP checking and model re-evaluation, not of this module. *)
 
-val fnv1a : string -> int
-(** 64-bit FNV-1a over the bytes of the string, truncated to [int]. *)
+val fnv1a : bytes -> int -> int -> int
+(** [fnv1a b off len] is the 64-bit FNV-1a of [len] bytes of [b] from
+    [off], truncated to [int].  Raises [Invalid_argument] on a slice
+    outside [b]. *)
 
-val crc32 : string -> int
-(** CRC-32 (IEEE, reflected) over the bytes of the string, in [0, 2^32). *)
+val crc32 : bytes -> int -> int -> int
+(** [crc32 b off len] is the CRC-32 (IEEE, reflected) of the slice, in
+    [0, 2^32).  Raises [Invalid_argument] on a slice outside [b]. *)
+
+val fnv1a_string : string -> int
+(** {!fnv1a} over a whole string. *)
+
+val crc32_string : string -> int
+(** {!crc32} over a whole string. *)
 
 val corrupted : int -> int
 (** [corrupted d] is a digest guaranteed to differ from [d] — how fault

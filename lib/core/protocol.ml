@@ -109,105 +109,172 @@ let critical = function
 
 (* ---------- integrity framing ---------- *)
 
-(* Canonical rendering for digesting: every field that matters lands in the
-   buffer, in a fixed order.  Not a wire format — just a deterministic byte
-   string two ends can agree on. *)
-let render_entry buf e =
-  let pf fmt = Printf.bprintf buf fmt in
-  let lits ls = List.iter (fun l -> pf "%d " (Sat.Types.to_int l)) ls in
-  match e with
-  | Registered { client } -> pf "jreg %d" client
-  | Assigned { pid = o, n; dst; path } ->
-      pf "jasn %d.%d %d " o n dst;
-      lits path
-  | Started { pid = o, n; client } -> pf "jsta %d.%d %d" o n client
-  | Granted { requester; partner } -> pf "jgra %d %d" requester partner
-  | Split { donor; donor_pid = a, b; donor_path; pid = o, n; dst; path } ->
-      pf "jspl %d %d.%d " donor a b;
-      lits donor_path;
-      pf "-> %d.%d %d " o n dst;
-      lits path
-  | Refuted { pid = o, n } -> pf "jref %d.%d" o n
-  | Shared { clauses } -> pf "jshr %d" clauses
-  | Suspected { client } -> pf "jsus %d" client
-  | Died { client } -> pf "jdie %d" client
-  | Adopted { pid = o, n; client; path } ->
-      pf "jado %d.%d %d " o n client;
-      lits path
-  | Verdict { answer } -> pf "jver %s" answer
+(* The codec encoding every digest is taken over: one tag per
+   constructor, then every field in declaration order.  Lists and strings
+   are length-prefixed, so distinct messages never share an encoding. *)
+let encode_pid c (o, n) =
+  Codec.int c o;
+  Codec.int c n
 
-let rec render buf msg =
-  let pf fmt = Printf.bprintf buf fmt in
-  let lits ls = List.iter (fun l -> pf "%d " (Sat.Types.to_int l)) ls in
-  let clauses cs =
-    List.iter
-      (fun c ->
-        Array.iter (fun l -> pf "%d " (Sat.Types.to_int l)) c;
-        Buffer.add_char buf '/')
-      cs
-  in
+let encode_entry c e =
+  match e with
+  | Registered { client } ->
+      Codec.tag c 0;
+      Codec.int c client
+  | Assigned { pid; dst; path } ->
+      Codec.tag c 1;
+      encode_pid c pid;
+      Codec.int c dst;
+      Codec.ints c path
+  | Started { pid; client } ->
+      Codec.tag c 2;
+      encode_pid c pid;
+      Codec.int c client
+  | Granted { requester; partner } ->
+      Codec.tag c 3;
+      Codec.int c requester;
+      Codec.int c partner
+  | Split { donor; donor_pid; donor_path; pid; dst; path } ->
+      Codec.tag c 4;
+      Codec.int c donor;
+      encode_pid c donor_pid;
+      Codec.ints c donor_path;
+      encode_pid c pid;
+      Codec.int c dst;
+      Codec.ints c path
+  | Refuted { pid } ->
+      Codec.tag c 5;
+      encode_pid c pid
+  | Shared { clauses } ->
+      Codec.tag c 6;
+      Codec.int c clauses
+  | Suspected { client } ->
+      Codec.tag c 7;
+      Codec.int c client
+  | Died { client } ->
+      Codec.tag c 8;
+      Codec.int c client
+  | Adopted { pid; client; path } ->
+      Codec.tag c 9;
+      encode_pid c pid;
+      Codec.int c client;
+      Codec.ints c path
+  | Verdict { answer } ->
+      Codec.tag c 10;
+      Codec.string c answer
+
+let rec encode_entries c = function
+  | [] -> ()
+  | e :: rest ->
+      encode_entry c e;
+      encode_entries c rest
+
+let rec encode c msg =
   match msg with
-  | Register -> pf "register"
-  | Problem { pid = o, n; sp; sent_at } ->
-      pf "problem %d.%d %h " o n sent_at;
-      Buffer.add_string buf (Subproblem.to_string sp)
-  | Problem_received { pid = o, n; from; bytes; path } ->
-      pf "received %d.%d %d %d " o n from bytes;
-      lits path
-  | Split_request `Memory -> pf "split? mem"
-  | Split_request `Long_running -> pf "split? long"
-  | Split_partner { partner } -> pf "partner %d" partner
-  | Split_ok { pid = o, n; dst; bytes; path; donor_path } ->
-      pf "split_ok %d.%d %d %d p " o n dst bytes;
-      lits path;
-      pf "d ";
-      lits donor_path
-  | Split_failed -> pf "split_failed"
-  | Shares { clauses = cs } ->
-      pf "shares ";
-      clauses cs
-  | Share_relay { origin; clauses = cs } ->
-      pf "relay %d " origin;
-      clauses cs
-  | Finished_unsat { pid = o, n; proof } ->
-      pf "unsat %d.%d " o n;
-      Option.iter (Buffer.add_string buf) proof
-  | Found_model m -> List.iter (pf "%d ") (Sat.Model.true_literals m)
-  | Migrate_to { target } -> pf "migrate %d" target
-  | Cancel { pid = o, n } -> pf "cancel %d.%d" o n
-  | Orphaned { pid = o, n; sp } ->
-      pf "orphaned %d.%d " o n;
-      Buffer.add_string buf (Subproblem.to_string sp)
-  | Resync_request -> pf "resync?"
+  | Register -> Codec.tag c 0
+  | Problem { pid; sp; sent_at } ->
+      Codec.tag c 1;
+      encode_pid c pid;
+      Subproblem.encode c sp;
+      Codec.float c sent_at
+  | Problem_received { pid; from; bytes; path } ->
+      Codec.tag c 2;
+      encode_pid c pid;
+      Codec.int c from;
+      Codec.int c bytes;
+      Codec.ints c path
+  | Split_request `Memory -> Codec.tag c 3
+  | Split_request `Long_running -> Codec.tag c 4
+  | Split_partner { partner } ->
+      Codec.tag c 5;
+      Codec.int c partner
+  | Split_ok { pid; dst; bytes; path; donor_path } ->
+      Codec.tag c 6;
+      encode_pid c pid;
+      Codec.int c dst;
+      Codec.int c bytes;
+      Codec.ints c path;
+      Codec.ints c donor_path
+  | Split_failed -> Codec.tag c 7
+  | Shares { clauses } ->
+      Codec.tag c 8;
+      Codec.int_arrays c clauses
+  | Share_relay { origin; clauses } ->
+      Codec.tag c 9;
+      Codec.int c origin;
+      Codec.int_arrays c clauses
+  | Finished_unsat { pid; proof } -> (
+      Codec.tag c 10;
+      encode_pid c pid;
+      match proof with
+      | None -> Codec.bool c false
+      | Some p ->
+          Codec.bool c true;
+          Codec.string c p)
+  | Found_model m ->
+      Codec.tag c 11;
+      let n = Sat.Model.nvars m in
+      Codec.int c n;
+      for v = 1 to n do
+        Codec.bool c (Sat.Model.value m v)
+      done
+  | Migrate_to { target } ->
+      Codec.tag c 12;
+      Codec.int c target
+  | Cancel { pid } ->
+      Codec.tag c 13;
+      encode_pid c pid
+  | Orphaned { pid; sp } ->
+      Codec.tag c 14;
+      encode_pid c pid;
+      Subproblem.encode c sp
+  | Resync_request -> Codec.tag c 15
   | Resync { pid; path; busy_since } ->
-      (match pid with None -> pf "resync idle " | Some (o, n) -> pf "resync %d.%d " o n);
-      pf "%h " busy_since;
-      lits path
-  | Stop -> pf "stop"
-  | Heartbeat { decisions } -> pf "hb %d" decisions
+      Codec.tag c 16;
+      (match pid with
+      | None -> Codec.bool c false
+      | Some pid ->
+          Codec.bool c true;
+          encode_pid c pid);
+      Codec.ints c path;
+      Codec.float c busy_since
+  | Stop -> Codec.tag c 17
+  | Heartbeat { decisions } ->
+      Codec.tag c 18;
+      Codec.int c decisions
   | Ship { seq; entries; state_digest } ->
-      pf "ship %d %s " seq state_digest;
-      List.iter
-        (fun e ->
-          render_entry buf e;
-          Buffer.add_char buf '/')
-        entries
-  | Ship_ack { seq; applied; ok } -> pf "ship_ack %d %d %b" seq applied ok
-  | Epoch_notice -> pf "epoch!"
-  | Ack { mid } -> pf "ack %d" mid
-  | Nack { mid } -> pf "nack %d" mid
+      Codec.tag c 19;
+      Codec.int c seq;
+      Codec.int c (List.length entries);
+      encode_entries c entries;
+      Codec.string c state_digest
+  | Ship_ack { seq; applied; ok } ->
+      Codec.tag c 20;
+      Codec.int c seq;
+      Codec.int c applied;
+      Codec.bool c ok
+  | Epoch_notice -> Codec.tag c 21
+  | Ack { mid } ->
+      Codec.tag c 22;
+      Codec.int c mid
+  | Nack { mid } ->
+      Codec.tag c 23;
+      Codec.int c mid
   | Reliable { mid; payload } ->
-      pf "rel %d " mid;
-      render buf payload
+      Codec.tag c 24;
+      Codec.int c mid;
+      encode c payload
   | Framed { digest; epoch; payload } ->
-      pf "frame %d @%d " digest epoch;
-      render buf payload
-  | Corrupt_payload -> pf "garbage"
+      Codec.tag c 25;
+      Codec.int c digest;
+      Codec.int c epoch;
+      encode c payload
+  | Corrupt_payload -> Codec.tag c 26
 
 let digest msg =
-  let buf = Buffer.create 256 in
-  render buf msg;
-  Integrity.fnv1a (Buffer.contents buf)
+  let c = Codec.scratch () in
+  encode c msg;
+  Codec.fnv1a c
 
 (* The epoch is a header field, not part of the digested payload: like a
    reliable envelope's mid it survives in-flight corruption (it carries

@@ -157,9 +157,15 @@ val critical : msg -> bool
 
 (** {1 Integrity framing} *)
 
+val encode : Codec.t -> msg -> unit
+(** Writes the message into the codec sink: a tag per constructor, then
+    every field in declaration order, recursing through [Reliable] and
+    [Framed] payloads, [Ship]'s journal entries and whole subproblems
+    ({!Subproblem.encode}). *)
+
 val digest : msg -> int
-(** FNV-1a digest of the message's canonical rendering (every semantic
-    field, in a fixed order).  Deterministic across runs. *)
+(** FNV-1a over the message's {!encode} bytes, taken in the domain's
+    scratch sink.  Deterministic across runs. *)
 
 val frame : ?epoch:int -> msg -> msg
 (** Seals a message for the wire:

@@ -115,7 +115,7 @@ module Make (R : RECORD) : sig
 end = struct
   (* The seal covers every field of the record, through an encoding no
      entry type has to maintain. *)
-  let seal e = Integrity.crc32 (Marshal.to_string e [ Marshal.No_sharing ])
+  let seal e = Integrity.crc32_string (Marshal.to_string e [ Marshal.No_sharing ])
 
   type t = {
     compact_every : int;  (* 0 = append-only *)

@@ -79,66 +79,12 @@ let capture_pure ~origin solver =
       clauses = origin.clauses;
     }
 
-(* Wire format:
-     p subproblem <nvars> <nclauses>
-     f <facts as DIMACS ints> 0
-     a <path as DIMACS ints> 0
-     <clause> 0
-     ... *)
-let to_string t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "p subproblem %d %d\n" t.nvars (List.length t.clauses));
-  let add_ints prefix lits =
-    Buffer.add_string buf prefix;
-    List.iter (fun l -> Buffer.add_string buf (string_of_int (T.to_int l) ^ " ")) lits;
-    Buffer.add_string buf "0\n"
-  in
-  add_ints "f " t.facts;
-  add_ints "a " t.path;
-  List.iter
-    (fun c ->
-      Array.iter (fun l -> Buffer.add_string buf (string_of_int (T.to_int l) ^ " ")) c;
-      Buffer.add_string buf "0\n")
-    t.clauses;
-  Buffer.contents buf
-
-let of_string text =
-  let lines = String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "") in
-  let parse_ints body =
-    let ints =
-      String.split_on_char ' ' body
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun s ->
-             match int_of_string_opt s with
-             | Some i -> i
-             | None -> failwith ("Subproblem.of_string: not an integer: " ^ s))
-    in
-    match List.rev ints with
-    | 0 :: rev -> List.rev_map T.lit_of_int rev
-    | _ -> failwith "Subproblem.of_string: line not terminated by 0"
-  in
-  match lines with
-  | header :: rest -> (
-      match String.split_on_char ' ' header |> List.filter (fun s -> s <> "") with
-      | [ "p"; "subproblem"; nv; _nc ] ->
-          let nvars =
-            match int_of_string_opt nv with
-            | Some n when n >= 0 -> n
-            | _ -> failwith "Subproblem.of_string: bad variable count"
-          in
-          let facts = ref [] and path = ref [] and clauses = ref [] in
-          List.iter
-            (fun line ->
-              if String.length line >= 2 && line.[0] = 'f' && line.[1] = ' ' then
-                facts := parse_ints (String.sub line 2 (String.length line - 2))
-              else if String.length line >= 2 && line.[0] = 'a' && line.[1] = ' ' then
-                path := parse_ints (String.sub line 2 (String.length line - 2))
-              else clauses := Array.of_list (parse_ints line) :: !clauses)
-            rest;
-          { nvars; facts = !facts; path = !path; clauses = List.rev !clauses }
-      | _ -> failwith "Subproblem.of_string: missing header")
-  | [] -> failwith "Subproblem.of_string: empty document"
+(* Field order: nvars, facts, path, clauses — the order of the record. *)
+let encode c t =
+  Codec.int c t.nvars;
+  Codec.ints c t.facts;
+  Codec.ints c t.path;
+  Codec.int_arrays c t.clauses
 
 let pp ppf t =
   Format.fprintf ppf "subproblem: %d vars, %d clauses, %d facts, path depth %d (%d bytes)"

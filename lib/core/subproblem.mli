@@ -66,12 +66,9 @@ val prune : t -> t
     root {e fact} (path literals are kept so clauses stay globally
     valid). *)
 
-val to_string : t -> string
-(** Compact wire format: a DIMACS-like document with [f]/[a] header lines
-    for the root facts and guiding-path assumptions.  This is what a
-    non-simulated deployment would put on the socket. *)
-
-val of_string : string -> t
-(** Parses {!to_string}'s format.  Raises [Failure] on malformed input. *)
+val encode : Codec.t -> t -> unit
+(** Writes every field (variable count, root facts, guiding path and
+    clauses, in that order) into the codec sink.  The checkpoint seal and
+    the digest of [Problem]/[Orphaned] frames are taken over these bytes. *)
 
 val pp : Format.formatter -> t -> unit

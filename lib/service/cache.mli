@@ -21,9 +21,10 @@ val create : unit -> t
 
 val digest : Sat.Cnf.t -> string
 (** Canonical digest: clauses are normalised (sorted literals, sorted
-    clause list, duplicates removed) before hashing, and the key pairs
-    two independent hashes (FNV-1a and CRC-32) of the rendering to make
-    accidental collisions negligible. *)
+    clause list, duplicates removed) and written as DIMACS text into the
+    codec's scratch sink ({!Gridsat_core.Codec}), and the key pairs two
+    independent hashes (FNV-1a and CRC-32) of that text, as
+    ["<fnv1a>-<crc32>"] in hex, to make accidental collisions negligible. *)
 
 val find : t -> digest:string -> cnf:Sat.Cnf.t -> Gridsat_core.Master.answer option
 (** A verified verdict for this formula, if one is stored.  SAT hits are

@@ -124,4 +124,4 @@ let digest st =
       Buffer.add_string buf (Printf.sprintf "%d=%s;" id s))
     ids;
   let s = Buffer.contents buf in
-  Printf.sprintf "%x-%x" (Integrity.fnv1a s) (Integrity.crc32 s)
+  Printf.sprintf "%x-%x" (Integrity.fnv1a_string s) (Integrity.crc32_string s)

@@ -123,35 +123,6 @@ let test_subproblem_capture () =
   (* both clauses are satisfied at the root: nothing left to transfer *)
   check int "clauses pruned" 0 (Sub.nclauses sp)
 
-let prop_subproblem_wire_roundtrip =
-  QCheck.Test.make ~name:"subproblem wire format roundtrips" ~count:100
-    (QCheck.make (random_cnf_gen ~max_vars:10 ~max_clauses:30 ~max_len:4))
-    (fun cnf ->
-      let nv = Cnf.nvars cnf in
-      let sp =
-        {
-          Sub.nvars = nv;
-          facts = (if nv >= 1 then [ T.pos 1 ] else []);
-          path = (if nv >= 2 then [ T.neg 2 ] else []);
-          clauses = Cnf.clauses cnf;
-        }
-      in
-      let back = Sub.of_string (Sub.to_string sp) in
-      back.Sub.nvars = sp.Sub.nvars
-      && back.Sub.facts = sp.Sub.facts
-      && back.Sub.path = sp.Sub.path
-      && List.map Array.to_list back.Sub.clauses = List.map Array.to_list sp.Sub.clauses)
-
-let test_subproblem_wire_errors () =
-  let expect_fail text =
-    match Sub.of_string text with
-    | exception Failure _ -> ()
-    | _ -> Alcotest.fail "expected Failure"
-  in
-  expect_fail "";
-  expect_fail "p wrong 3 1\nf 0\na 0\n1 0\n";
-  expect_fail "p subproblem 3 1\nf 0\na 0\n1 2\n"
-
 let prop_prune_idempotent =
   QCheck.Test.make ~name:"subproblem pruning is idempotent" ~count:100
     (QCheck.make (random_cnf_gen ~max_vars:10 ~max_clauses:40 ~max_len:4))
@@ -763,6 +734,281 @@ let test_protocol_sizes () =
     (C.Protocol.size (C.Protocol.Shares { clauses = shares })
     = C.Protocol.size (C.Protocol.Share_relay { origin = 1; clauses = shares }))
 
+(* ---------- codec and integrity ---------- *)
+
+module P = C.Protocol
+module Oracle = Codec_oracle
+
+(* Reference 64-bit FNV-1a in boxed Int64, the textbook form the native
+   implementation must match bit for bit. *)
+let fnv1a_int64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun ch -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) 0x100000001b3L)
+    s;
+  Int64.to_int !h
+
+let test_integrity_vectors () =
+  check int "crc32 check value" 0xCBF43926 (C.Integrity.crc32_string "123456789");
+  check int "crc32 empty" 0 (C.Integrity.crc32_string "");
+  check int "fnv1a empty" (Int64.to_int 0xcbf29ce484222325L) (C.Integrity.fnv1a_string "");
+  check int "fnv1a a" (Int64.to_int 0xaf63dc4c8601ec8cL) (C.Integrity.fnv1a_string "a");
+  check int "fnv1a foobar" (Int64.to_int 0x85944171f73967e8L) (C.Integrity.fnv1a_string "foobar");
+  let b = Bytes.of_string "xx123456789yy" in
+  check int "crc32 of a slice" 0xCBF43926 (C.Integrity.crc32 b 2 9);
+  check int "fnv1a of a slice" (C.Integrity.fnv1a_string "foobar")
+    (C.Integrity.fnv1a (Bytes.of_string "..foobar") 2 6);
+  Alcotest.check_raises "slice past the end" (Invalid_argument "Integrity.crc32") (fun () ->
+      ignore (C.Integrity.crc32 b 5 9))
+
+let prop_fnv1a_reference =
+  QCheck.Test.make ~name:"fnv1a matches the Int64 reference" ~count:300 QCheck.string (fun s ->
+      C.Integrity.fnv1a_string s = fnv1a_int64 s)
+
+let test_codec_decimal () =
+  List.iter
+    (fun n ->
+      let c = C.Codec.create 1 in
+      C.Codec.decimal c n;
+      check Alcotest.string "decimal" (string_of_int n) (C.Codec.contents c))
+    [ 0; 7; -7; 10; -10; 1234567890; max_int; min_int ]
+
+let small_sp =
+  {
+    Sub.nvars = 70;
+    facts = [ T.pos 1 ];
+    path = [ T.neg 2; T.pos 65 ];
+    clauses = [ [| T.pos 3; T.neg 4 |]; [| T.neg 70 |] ];
+  }
+
+let every_entry : P.journal_entry list =
+  [
+    Registered { client = 3 };
+    Assigned { pid = (0, 0); dst = 2; path = [ T.neg 5 ] };
+    Started { pid = (1, 2); client = 1 };
+    Granted { requester = 1; partner = 4 };
+    Split
+      {
+        donor = 1;
+        donor_pid = (0, 0);
+        donor_path = [ T.pos 5 ];
+        pid = (1, 1);
+        dst = 4;
+        path = [ T.neg 5 ];
+      };
+    Refuted { pid = (1, 1) };
+    Shared { clauses = 12 };
+    Suspected { client = 4 };
+    Died { client = 4 };
+    Adopted { pid = (1, 1); client = 2; path = [] };
+    Verdict { answer = "UNSAT" };
+  ]
+
+(* One message of every constructor, a [Ship] carrying every journal
+   entry last. *)
+let every_msg : P.msg list =
+  [
+    Register;
+    Problem { pid = (0, 0); sp = small_sp; sent_at = 1.25 };
+    Problem_received { pid = (0, 0); from = 1; bytes = 4096; path = [ T.pos 9 ] };
+    Split_request `Memory;
+    Split_request `Long_running;
+    Split_partner { partner = 3 };
+    Split_ok { pid = (1, 1); dst = 3; bytes = 100; path = [ T.neg 5 ]; donor_path = [ T.pos 5 ] };
+    Split_failed;
+    Shares { clauses = [ [| T.pos 1; T.neg 2 |] ] };
+    Share_relay { origin = 2; clauses = [ [| T.neg 1 |]; [||] ] };
+    Finished_unsat { pid = (1, 1); proof = None };
+    Finished_unsat { pid = (1, 1); proof = Some "1 -2 0\n0\n" };
+    Found_model (Sat.Model.of_array [| false; true; false; true |]);
+    Migrate_to { target = 5 };
+    Cancel { pid = (2, 7) };
+    Orphaned { pid = (2, 7); sp = small_sp };
+    Resync_request;
+    Resync { pid = None; path = []; busy_since = 0. };
+    Resync { pid = Some (1, 1); path = [ T.neg 5 ]; busy_since = 17.5 };
+    Stop;
+    Heartbeat { decisions = 123456 };
+    Ship_ack { seq = 4; applied = 20; ok = false };
+    Epoch_notice;
+    Ack { mid = 9 };
+    Nack { mid = -9 };
+    Reliable { mid = 9; payload = Cancel { pid = (2, 7) } };
+    Framed { digest = -1; epoch = 3; payload = Reliable { mid = 1; payload = Stop } };
+    Corrupt_payload;
+    Ship { seq = 40; entries = every_entry; state_digest = "3f-a1" };
+  ]
+
+(* [corrupt] turns the payload into [Corrupt_payload]; a message that is
+   already that (alone or in a reliable envelope) is never sent. *)
+let garbage = function
+  | P.Corrupt_payload | P.Reliable { payload = P.Corrupt_payload; _ } -> true
+  | _ -> false
+
+let test_codec_every_message () =
+  List.iter
+    (fun m ->
+      if Oracle.decode_msg (Oracle.encode_msg m) <> m then Alcotest.fail "roundtrip";
+      if not (garbage m) then
+        match P.verify (P.corrupt (P.frame ~epoch:2 m)) with
+        | `Corrupt _ -> ()
+        | `Ok _ -> Alcotest.fail "corruption not detected")
+    every_msg;
+  let encodings = List.map Oracle.encode_msg every_msg in
+  check int "distinct encodings" (List.length every_msg)
+    (List.length (List.sort_uniq compare encodings));
+  check bool "frame then verify" true
+    (List.for_all (fun m -> P.verify (P.frame m) = `Ok m) every_msg)
+
+let msg_gen =
+  let open QCheck.Gen in
+  let num = oneof [ small_signed_int; int ] in
+  let lit = map2 (fun v s -> if s then T.pos v else T.neg v) (int_range 1 40) bool in
+  let lits = list_size (int_range 0 5) lit in
+  let clauses = list_size (int_range 0 4) (array_size (int_range 0 4) lit) in
+  let pid = pair num num in
+  let time = float_bound_inclusive 1e6 in
+  let sp =
+    map4
+      (fun nvars facts path clauses -> { Sub.nvars; facts; path; clauses })
+      (int_range 0 40) lits lits clauses
+  in
+  let model =
+    int_range 1 10 >>= fun n ->
+    array_size (return n) bool >|= fun a ->
+    a.(0) <- false;
+    Sat.Model.of_array a
+  in
+  let entry : P.journal_entry t =
+    oneof
+      [
+        map (fun client -> P.Registered { client }) num;
+        map3 (fun pid dst path -> P.Assigned { pid; dst; path }) pid num lits;
+        map2 (fun pid client -> P.Started { pid; client }) pid num;
+        map2 (fun requester partner -> P.Granted { requester; partner }) num num;
+        map3
+          (fun (donor, donor_pid, donor_path) (pid, dst) path ->
+            P.Split { donor; donor_pid; donor_path; pid; dst; path })
+          (triple num pid lits) (pair pid num) lits;
+        map (fun pid -> P.Refuted { pid }) pid;
+        map (fun clauses -> P.Shared { clauses }) num;
+        map (fun client -> P.Suspected { client }) num;
+        map (fun client -> P.Died { client }) num;
+        map3 (fun pid client path -> P.Adopted { pid; client; path }) pid num lits;
+        map (fun answer -> P.Verdict { answer }) string_printable;
+      ]
+  in
+  let leaf ~garbage : P.msg t =
+    oneof
+      ([
+         return P.Register;
+         map3 (fun pid sp sent_at -> P.Problem { pid; sp; sent_at }) pid sp time;
+         map4
+           (fun pid from bytes path -> P.Problem_received { pid; from; bytes; path })
+           pid num num lits;
+         return (P.Split_request `Memory);
+         return (P.Split_request `Long_running);
+         map (fun partner -> P.Split_partner { partner }) num;
+         map4
+           (fun (pid, dst) bytes path donor_path ->
+             P.Split_ok { pid; dst; bytes; path; donor_path })
+           (pair pid num) num lits lits;
+         return P.Split_failed;
+         map (fun clauses -> P.Shares { clauses }) clauses;
+         map2 (fun origin clauses -> P.Share_relay { origin; clauses }) num clauses;
+         map2 (fun pid proof -> P.Finished_unsat { pid; proof }) pid (opt string_printable);
+         map (fun m -> P.Found_model m) model;
+         map (fun target -> P.Migrate_to { target }) num;
+         map (fun pid -> P.Cancel { pid }) pid;
+         map2 (fun pid sp -> P.Orphaned { pid; sp }) pid sp;
+         return P.Resync_request;
+         map3 (fun pid path busy_since -> P.Resync { pid; path; busy_since }) (opt pid) lits time;
+         return P.Stop;
+         map (fun decisions -> P.Heartbeat { decisions }) num;
+         map3
+           (fun seq entries state_digest -> P.Ship { seq; entries; state_digest })
+           num (list_size (int_range 0 12) entry) string_printable;
+         map3 (fun seq applied ok -> P.Ship_ack { seq; applied; ok }) num num bool;
+         return P.Epoch_notice;
+         map (fun mid -> P.Ack { mid }) num;
+         map (fun mid -> P.Nack { mid }) num;
+       ]
+      @ if garbage then [ return P.Corrupt_payload ] else [])
+  in
+  fun ~garbage ->
+    fix
+      (fun self depth ->
+        if depth = 0 then leaf ~garbage
+        else
+          frequency
+            [
+              (4, leaf ~garbage);
+              (1, map2 (fun mid payload -> P.Reliable { mid; payload }) num (self (depth - 1)));
+              ( 1,
+                map3
+                  (fun digest epoch payload -> P.Framed { digest; epoch; payload })
+                  num num (self (depth - 1)) );
+            ])
+      2
+
+let prop_codec_roundtrip =
+  QCheck.Test.make ~name:"codec message roundtrip" ~count:500
+    (QCheck.make (msg_gen ~garbage:true))
+    (fun m -> Oracle.decode_msg (Oracle.encode_msg m) = m)
+
+let prop_framed_corruption_detected =
+  QCheck.Test.make ~name:"corrupted frame never verifies" ~count:500
+    (QCheck.make (msg_gen ~garbage:false))
+    (fun m ->
+      match P.verify (P.corrupt (P.frame ~epoch:1 m)) with `Corrupt _ -> true | `Ok _ -> false)
+
+let prop_subproblem_wire_roundtrip =
+  QCheck.Test.make ~name:"subproblem wire format roundtrips" ~count:100
+    (QCheck.make (random_cnf_gen ~max_vars:10 ~max_clauses:30 ~max_len:4))
+    (fun cnf ->
+      let nv = Cnf.nvars cnf in
+      let sp =
+        {
+          Sub.nvars = nv;
+          facts = (if nv >= 1 then [ T.pos 1 ] else []);
+          path = (if nv >= 2 then [ T.neg 2 ] else []);
+          clauses = Cnf.clauses cnf;
+        }
+      in
+      Oracle.decode_subproblem (Oracle.encode_subproblem sp) = sp)
+
+(* The encoding is self-delimiting: every strict prefix runs out of bytes,
+   and bytes past the end, an unknown tag or an impossible length are
+   refused. *)
+let expect_malformed what decode text =
+  match decode text with
+  | exception Oracle.Malformed _ -> ()
+  | _ -> Alcotest.failf "%s: expected a decode error" what
+
+let test_subproblem_wire_errors () =
+  let sp =
+    {
+      Sub.nvars = 300;
+      facts = [ T.pos 1; T.neg 200 ];
+      path = [ T.neg 2 ];
+      clauses = [ [| T.pos 3; T.neg 4 |]; [||]; [| T.pos 300 |] ];
+    }
+  in
+  let text = Oracle.encode_subproblem sp in
+  for n = 0 to String.length text - 1 do
+    expect_malformed
+      (Printf.sprintf "subproblem prefix %d" n)
+      Oracle.decode_subproblem (String.sub text 0 n)
+  done;
+  expect_malformed "trailing byte" Oracle.decode_subproblem (text ^ "\000");
+  expect_malformed "negative clause count" Oracle.decode_subproblem "\002\000\000\001";
+  let ship = Oracle.encode_msg (List.hd (List.rev every_msg)) in
+  for n = 0 to String.length ship - 1 do
+    expect_malformed (Printf.sprintf "ship prefix %d" n) Oracle.decode_msg (String.sub ship 0 n)
+  done;
+  expect_malformed "unknown message tag" Oracle.decode_msg "\099";
+  expect_malformed "unknown entry tag" Oracle.decode_msg "\019\000\002\011"
+
 (* ---------- Reliable channel unit tests ---------- *)
 
 let make_reliable ~sim ?(max_attempts = 3) ?on_exhausted ~sent ~gave () =
@@ -1137,6 +1383,9 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "message sizes" `Quick test_protocol_sizes;
+          Alcotest.test_case "integrity vectors" `Quick test_integrity_vectors;
+          Alcotest.test_case "codec decimal" `Quick test_codec_decimal;
+          Alcotest.test_case "codec every message" `Quick test_codec_every_message;
           Alcotest.test_case "event rendering" `Quick test_events_printing;
           Alcotest.test_case "config validation" `Quick test_config_validate;
           Alcotest.test_case "fault plan validation" `Quick test_fault_plan_validate;
@@ -1159,6 +1408,9 @@ let () =
               prop_prune_idempotent;
               prop_prune_never_grows;
               prop_subproblem_wire_roundtrip;
+              prop_fnv1a_reference;
+              prop_codec_roundtrip;
+              prop_framed_corruption_detected;
             ] );
       ("baseline", [ Alcotest.test_case "outcomes" `Slow test_baseline_outcomes ]);
     ]

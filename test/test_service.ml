@@ -147,6 +147,36 @@ let test_cache_digest_canonical () =
   check bool "permutation-invariant" true (S.Cache.digest a = S.Cache.digest b);
   check bool "different formula, different digest" false (S.Cache.digest a = S.Cache.digest c)
 
+(* Cache keys are pinned: they name formulas in the job log and in the
+   service snapshots, so a change of key encoding must not move them.  One
+   instance per serve-mix family, each also submitted with its clauses
+   reversed and every clause's literals rotated; the last formula covers
+   an empty clause, a duplicate, negative literals and clauses that are
+   prefixes of one another. *)
+let test_cache_digest_golden () =
+  let permuted cnf =
+    let rotate a = Array.init (Array.length a) (fun i -> a.((i + 1) mod Array.length a)) in
+    Sat.Cnf.of_lit_arrays ~nvars:(Sat.Cnf.nvars cnf) (List.rev_map rotate (Sat.Cnf.clauses cnf))
+  in
+  List.iter
+    (fun (name, cnf, golden) ->
+      check Alcotest.string name golden (S.Cache.digest cnf);
+      check Alcotest.string (name ^ " permuted") golden (S.Cache.digest (permuted cnf)))
+    [
+      ( "planted 3-SAT",
+        Workloads.Random_sat.planted ~nvars:50 ~ratio:4.26 ~seed:11 (),
+        "6a927c1cc8ef7bdc-cd6b119c" );
+      ( "3-colouring",
+        Workloads.Coloring.random_graph ~n:34 ~avg_degree:4.2 ~colors:3 ~seed:11,
+        "2a3cfc44e29045e3-6db8e16" );
+      ( "random 3-SAT at ratio 5",
+        Workloads.Random_sat.instance ~nvars:35 ~ratio:5.0 ~seed:11 (),
+        "1a58e8d2fd09889c-1fd20ea8" );
+      ( "edge cases",
+        Sat.Cnf.make ~nvars:5 [ [ 1; 2 ]; [ 1 ]; []; [ -5; 3 ]; [ 1; 2; -3 ]; [ -1 ]; [ 2; 1 ] ],
+        "2a463a1679bcccc5-4733f9bf" );
+    ]
+
 let test_cache_store_and_verify () =
   let cache = S.Cache.create () in
   let cnf = Sat.Cnf.make ~nvars:2 [ [ 1 ]; [ 1; 2 ] ] in
@@ -806,6 +836,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "canonical digest" `Quick test_cache_digest_canonical;
+          Alcotest.test_case "golden digests" `Quick test_cache_digest_golden;
           Alcotest.test_case "store and verify" `Quick test_cache_store_and_verify;
         ] );
       ("joblog", [ Alcotest.test_case "replay and scrub" `Quick test_joblog_replay_and_scrub ]);
